@@ -18,12 +18,14 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <filesystem>
 #include <string>
 
 #include "daemon/config_file.hpp"
 #include "daemon/ipc_server.hpp"
-#include "membership/epoch_store.hpp"
 #include "membership/membership.hpp"
+#include "storage/epoch_store.hpp"
+#include "storage/file_disk.hpp"
 #include "transport/udp_transport.hpp"
 
 using namespace accelring;
@@ -56,7 +58,11 @@ int main(int argc, char** argv) {
   protocol::Engine engine(pid, config->proto, transport);
   // Durable epoch counter next to the IPC socket: a cold-restarted daemon
   // must never mint a ring id it used in a previous incarnation.
-  membership::FileEpochStore epochs(std::string(argv[3]) + ".epoch");
+  const std::filesystem::path epoch_path = std::string(argv[3]) + ".epoch";
+  storage::FileDisk epoch_dir(epoch_path.has_parent_path()
+                                  ? epoch_path.parent_path().string()
+                                  : ".");
+  storage::DiskEpochStore epochs(epoch_dir, epoch_path.filename().string());
   engine.set_epoch_store(&epochs);
   transport.bind(engine);
   daemon::Daemon daemon(pid, engine);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "check/client_fleet.hpp"
 #include "check/durability_oracle.hpp"
@@ -19,27 +20,443 @@
 namespace accelring::check {
 namespace {
 
-/// Fault state shared between scheduled events and the drop filters.
-struct FaultState {
+/// What one run's faults land on: a single SimCluster, or every ring of a
+/// RingSet. One machine hosts a node's engine in every ring, so every fault
+/// fans out over all of them: a network fault hits each cluster's fabric, a
+/// node fault hits that node in each cluster, and kMigrate goes to the
+/// RingSet. Lives on the runner's stack for the whole run; scheduled fault
+/// and expiry events point back at it.
+struct FaultTarget {
+  explicit FaultTarget(harness::SimCluster& cluster) : clusters{&cluster} {}
+  explicit FaultTarget(multiring::RingSet& set) : rings(&set) {
+    for (int r = 0; r < set.num_rings(); ++r) clusters.push_back(&set.ring(r));
+  }
+  FaultTarget(const FaultTarget&) = delete;  // scheduled events point at it
+  FaultTarget& operator=(const FaultTarget&) = delete;
+
+  std::vector<harness::SimCluster*> clusters;
+  multiring::RingSet* rings = nullptr;  ///< set when K > 1
+  // Who else hears of a crash or restart (unset ones are skipped).
+  // apply_fault calls them in one fixed order, which is part of the
+  // determinism contract: the durability oracle snapshots a node's applied
+  // versions before crash_node resolves its un-fsynced disk state, and every
+  // other witness hears after the cluster did.
+  std::vector<ClusterOracle*> oracles;
+  ClientFleet* fleet = nullptr;
+  kv::KvService* service = nullptr;
+  KvOracle* kv_oracle = nullptr;
+  DurabilityOracle* durability = nullptr;
   uint32_t token_drops_pending = 0;
+  /// Faults this ring count cannot judge yet; each fails the run.
+  std::vector<Violation> unsupported;
+
+  [[nodiscard]] simnet::EventQueue& eq() const {
+    return clusters.front()->eq();
+  }
+  [[nodiscard]] bool down(int node) const {
+    return clusters.front()->net().host_down(node);
+  }
+  [[nodiscard]] bool multi() const { return clusters.size() > 1; }
+  /// Flight-record name of `node` in ring `ring`.
+  [[nodiscard]] std::string node_name(size_t ring, int node) const {
+    const std::string n = "node" + std::to_string(node);
+    return multi() ? "ring" + std::to_string(ring) + "/" + n : n;
+  }
+  /// `fn(cluster)` on every cluster: now, or once `delay` has passed.
+  template <typename Fn>
+  void each(Fn fn) const {
+    for (harness::SimCluster* c : clusters) fn(*c);
+  }
+  template <typename Fn>
+  void each_after(Nanos delay, Fn fn) {
+    eq().schedule_after(delay, [this, fn] { each(fn); });
+  }
 };
 
-simnet::Network::DropFilter token_drop_filter(
-    std::shared_ptr<FaultState> fault) {
-  return [fault = std::move(fault)](int, int, simnet::SocketId sock,
-                                    const std::vector<std::byte>&) {
-    if (sock != simnet::kTokenSocket || fault->token_drops_pending == 0) {
-      return false;
+/// The MigrationPlan a kMigrate event asks for, its ring indices resolved
+/// against K (-1 = the last ring, others modulo K). Empty for an unknown mode.
+multiring::MigrationPlan migration_plan(const FaultEvent& e,
+                                        const multiring::ShardMap& map,
+                                        int k) {
+  const auto ring_arg = [k](int r) { return r < 0 ? k - 1 : r % k; };
+  if (e.count == 1) return map.plan_add_ring(ring_arg(e.peer));
+  if (e.count == 2) return map.plan_remove_ring(ring_arg(e.node));
+  if (e.count == 3) {
+    return map.plan_move_fraction(ring_arg(e.node), ring_arg(e.peer), e.rate);
+  }
+  if (e.count == 4) {
+    // Rebalance: the ring owning stream id 0 (the zipf-hot key) is the
+    // hottest; the smallest ownership share takes the slice.
+    const int hot = map.ring_of_key(multiring::mix64(0));
+    int coldest = 0;
+    for (int r = 1; r < k; ++r) {
+      if (map.owned_fraction(r) < map.owned_fraction(coldest)) coldest = r;
     }
-    --fault->token_drops_pending;
+    return map.plan_move_fraction(hot, coldest, e.rate);
+  }
+  return {};
+}
+
+/// Apply one fault event to every cluster of the run. Every event is
+/// droppable by design (the shrinker relies on it): a restart of a node that
+/// is up, a heal without a partition, or a rate-1 CPU multiplier is a no-op.
+void apply_fault(const FaultEvent& e, FaultTarget& t) {
+  const auto crash = [&t](int n) {
+    if (t.down(n)) return;
+    if (t.durability != nullptr) t.durability->note_crash(n);
+    t.each([n](auto& c) { c.crash_node(n); });
+    for (ClusterOracle* oracle : t.oracles) oracle->note_crash(n);
+    if (t.fleet != nullptr) t.fleet->on_crash(n);
+    if (t.service != nullptr) t.service->on_crash(n);
+  };
+  const auto restart = [&t](int n) {
+    if (!t.down(n)) return false;
+    t.each([n](auto& c) { c.restart_node(n); });
+    for (ClusterOracle* oracle : t.oracles) oracle->note_restart(n);
+    if (t.fleet != nullptr) t.fleet->on_restart(n);
+    if (t.service != nullptr) t.service->on_restart(n);
+    if (t.kv_oracle != nullptr) t.kv_oracle->note_restart(n);
+    if (t.durability != nullptr) t.durability->note_restart(n);
     return true;
   };
+  const auto disk_unsafe = [&t, &e](const char* why) {
+    if (t.durability != nullptr) t.durability->note_disk_unsafe(e.node, why);
+  };
+  switch (e.kind) {
+    case FaultKind::kLossBurst:
+      t.each([&e](auto& c) { c.net().set_loss_rate(e.rate); });
+      t.each_after(e.duration, [](auto& c) { c.net().set_loss_rate(0); });
+      break;
+    case FaultKind::kTokenDrop:
+      t.token_drops_pending += e.count;
+      break;
+    case FaultKind::kPartition:
+      t.each([&e](auto& c) {
+        for (int n : e.group) c.net().set_partition(n, 1);
+      });
+      break;
+    case FaultKind::kHeal:
+      t.each([](auto& c) { c.net().heal(); });
+      break;
+    case FaultKind::kCrash:
+      crash(e.node);
+      break;
+    case FaultKind::kRestart:
+    case FaultKind::kRackRestore:
+    case FaultKind::kPowerRestoreAll:
+      if (t.multi()) {
+        // A restarted node's merged stream legitimately holds a gap (what
+        // was delivered while it was down), which the merged-prefix oracle
+        // cannot excuse yet: refuse loudly rather than drop the event.
+        t.unsupported.push_back(Violation{
+            std::string(fault_name(e.kind)) + " unsupported at rings=" +
+            std::to_string(t.clusters.size())});
+      } else if (e.kind == FaultKind::kRestart) {
+        restart(e.node);
+      } else if (e.kind == FaultKind::kRackRestore) {
+        for (int n : e.group) restart(n);
+      } else {
+        bool any = false;
+        for (int n = 0; n < t.clusters.front()->size(); ++n) {
+          any = restart(n) || any;
+        }
+        // The whole cluster is back: judge what survived against the
+        // committed history, then roll the KV oracle onto the revived
+        // lineage. Skipped when the power loss was shrunk away.
+        if (any && t.durability != nullptr) {
+          t.durability->note_cluster_recovery(t.kv_oracle);
+        }
+      }
+      break;
+    case FaultKind::kLatencyShift:
+      // Shifts compose additively (overlapping congestion episodes add up);
+      // the expiry subtracts exactly its own onset, and the fabric clamps at
+      // 0 if a heal-all already absorbed it.
+      t.each([&e](auto& c) { c.net().add_extra_latency(e.extra_latency); });
+      t.each_after(e.duration, [x = e.extra_latency](auto& c) {
+        c.net().add_extra_latency(-x);
+      });
+      break;
+    case FaultKind::kOverload:
+      if (t.fleet != nullptr) t.fleet->burst(e.node, e.count);
+      break;
+    case FaultKind::kCpuMultiplier:
+      t.each([&e](auto& c) { c.process(e.node).set_cpu_multiplier(e.rate); });
+      break;
+    case FaultKind::kLinkLoss:
+      t.each([&e](auto& c) { c.net().set_link_loss(e.peer, e.node, e.rate); });
+      break;
+    case FaultKind::kLinkDown:
+      t.each([&e](auto& c) { c.net().set_link_down(e.peer, e.node, true); });
+      t.each_after(e.duration, [e](auto& c) {
+        c.net().set_link_down(e.peer, e.node, false);
+      });
+      break;
+    case FaultKind::kReorder:
+      t.each([&e](auto& c) { c.net().set_reorder(e.rate, e.extra_latency); });
+      t.each_after(e.duration, [](auto& c) { c.net().set_reorder(0, 0); });
+      break;
+    case FaultKind::kDuplicate:
+      t.each([&e](auto& c) { c.net().set_duplicate(e.rate); });
+      t.each_after(e.duration, [](auto& c) { c.net().set_duplicate(0); });
+      break;
+    case FaultKind::kRackPower:
+      // One power domain dies at the same instant.
+      for (int n : e.group) crash(n);
+      break;
+    case FaultKind::kSwitchBrownout:
+      t.each([&e](auto& c) {
+        c.net().set_dc_brownout(e.node, e.rate, e.extra_latency);
+      });
+      t.each_after(e.duration,
+                   [e](auto& c) { c.net().set_dc_brownout(e.node, 0, 0); });
+      break;
+    case FaultKind::kWanDown:
+      t.each([&e](auto& c) { c.net().set_wan_down(e.node, e.peer, true); });
+      t.each_after(e.duration, [e](auto& c) {
+        c.net().set_wan_down(e.node, e.peer, false);
+      });
+      break;
+    case FaultKind::kPowerLossAll:
+      for (int n = 0; n < t.clusters.front()->size(); ++n) crash(n);
+      break;
+    case FaultKind::kDiskDesync:
+      t.each([&e](auto& c) {
+        c.disk(e.node).set_crash_mode(e.count >= 2
+                                          ? storage::CrashMode::kReorder
+                                          : storage::CrashMode::kTorn);
+        c.disk(e.node).set_write_cache_lies(true);
+      });
+      disk_unsafe("lying write cache");
+      break;
+    case FaultKind::kDiskBitRot:
+      t.each([&e](auto& c) {
+        c.disk(e.node).flip_bits(static_cast<int>(e.count), "shard");
+      });
+      disk_unsafe("bit rot");
+      break;
+    case FaultKind::kDiskFull:
+      t.each([&e](auto& c) { c.disk(e.node).set_capacity(1); });
+      disk_unsafe("enospc");
+      t.each_after(e.duration,
+                   [e](auto& c) { c.disk(e.node).set_capacity(0); });
+      break;
+    case FaultKind::kDiskStall:
+      t.each([&e](auto& c) {
+        c.disk(e.node).stall_ops(static_cast<int>(e.count));
+      });
+      disk_unsafe("io stall");
+      break;
+    case FaultKind::kRingOffline:
+      // Construction-time hint, consumed by run_multi before the run.
+      break;
+    case FaultKind::kMigrate:
+      // Droppable: an empty plan (adding an active ring, removing the last
+      // active one, moving a span onto itself) or a migration already in
+      // flight is a no-op, and so is any migration at K = 1.
+      if (t.rings != nullptr && t.rings->migration_idle()) {
+        (void)t.rings->start_migration(
+            migration_plan(e, t.rings->shards(), t.rings->num_rings()));
+      }
+      break;
+  }
+}
+
+/// Install the token-drop filter and schedule every event of `schedule`.
+void arm_faults(FaultTarget& t, const Schedule& schedule) {
+  for (harness::SimCluster* c : t.clusters) {
+    c->net().set_drop_filter([&t](int, int, simnet::SocketId sock,
+                                  const std::vector<std::byte>&) {
+      if (sock != simnet::kTokenSocket || t.token_drops_pending == 0) {
+        return false;
+      }
+      --t.token_drops_pending;
+      return true;
+    });
+  }
+  for (const FaultEvent& e : schedule.events) {
+    t.eq().schedule_after(e.at, [&t, e] { apply_fault(e, t); });
+  }
+}
+
+/// Heal everything at the horizon so the drain can converge. Gray faults heal
+/// too: a quarantined member turns healthy here and probes its way back
+/// through probation during the drain.
+void arm_heal(FaultTarget& t, Nanos horizon) {
+  t.eq().schedule_after(horizon, [&t] {
+    t.each([](harness::SimCluster& c) {
+      c.net().heal();
+      c.net().set_loss_rate(0);
+      c.net().set_extra_latency(0);
+      c.net().clear_link_faults();  // WAN links up, brownouts off too
+      for (int n = 0; n < c.size(); ++n) {
+        // Back to the *constructed* speed: heterogeneous topologies keep
+        // their hardware through a heal.
+        c.process(n).set_cpu_multiplier(c.base_cpu_multiplier(n));
+      }
+    });
+    t.token_drops_pending = 0;
+  });
+}
+
+/// Ejection audit (see RunResult::false_ejections). Partitions, crashes,
+/// restarts, and correlated power or WAN faults can legitimately remove any
+/// node from a configuration; a gray fault (slow CPU, lossy or severed link,
+/// browned-out switch) justifies removing only its victims. Everyone else is
+/// healthy: a configuration that excludes a healthy, reachable node counts as
+/// a false ejection, and a gray-failure quarantine of one is a safety
+/// violation. Construct before the run starts; judge() after it.
+class EjectionAudit {
+ public:
+  EjectionAudit(const Schedule& schedule, FaultTarget& t) : t_(t) {
+    const simnet::Topology& topo = t.clusters.front()->net().topology();
+    for (const FaultEvent& e : schedule.events) {
+      const FaultKind k = e.kind;
+      if (k == FaultKind::kPartition || k == FaultKind::kCrash ||
+          k == FaultKind::kRestart || k == FaultKind::kRackPower ||
+          k == FaultKind::kRackRestore || k == FaultKind::kWanDown ||
+          k == FaultKind::kPowerLossAll || k == FaultKind::kPowerRestoreAll) {
+        churn_ = true;
+      } else if ((k == FaultKind::kCpuMultiplier && e.rate > 1.0) ||
+                 k == FaultKind::kLinkLoss || k == FaultKind::kLinkDown) {
+        degraded_.insert(e.node);
+        // A severed directed link degrades both endpoints' view of each
+        // other; either may legitimately fall out of a configuration.
+        if (k == FaultKind::kLinkDown && e.peer >= 0) degraded_.insert(e.peer);
+      } else if (k == FaultKind::kSwitchBrownout) {
+        // Every host behind the browned switch is degraded.
+        for (int h = 0; h < topo.num_hosts(); ++h) {
+          if (topo.dc_of(h) == e.node) degraded_.insert(h);
+        }
+      }
+    }
+    if (churn_) return;
+    for (size_t r = 0; r < t.clusters.size(); ++r) {
+      harness::SimCluster& c = *t.clusters[r];
+      c.add_on_config([this, &c, r](int,
+                                    const protocol::ConfigurationChange& ch) {
+        if (ch.transitional) return;
+        for (int n = 0; n < c.size(); ++n) {
+          if (c.net().host_down(n) || degraded_.contains(n)) continue;
+          const auto pid = static_cast<protocol::ProcessId>(n);
+          bool member = false;
+          for (const auto m : ch.config.members) member = member || m == pid;
+          if (!member) ejected_.insert({r, ch.config.ring_id});
+        }
+      });
+    }
+  }
+  EjectionAudit(const EjectionAudit&) = delete;  // observers point at it
+  EjectionAudit& operator=(const EjectionAudit&) = delete;
+
+  void judge(RunResult& res) const {
+    res.false_ejections = ejected_.size();
+    // Every pid any engine's membership layer ever quarantined (read from
+    // the quarantine log, which — unlike the trace ring buffer — never
+    // wraps) must have been the target of a gray fault. Churn schedules are
+    // exempt: membership churn there can hand the detector a legitimately
+    // torn ring.
+    if (churn_) return;
+    for (size_t r = 0; r < t_.clusters.size(); ++r) {
+      harness::SimCluster& c = *t_.clusters[r];
+      std::set<protocol::ProcessId> blamed;
+      for (int n = 0; n < c.size(); ++n) {
+        for (const protocol::ProcessId v : c.engine(n).quarantine_victims()) {
+          blamed.insert(v);
+        }
+      }
+      for (const protocol::ProcessId v : blamed) {
+        if (degraded_.contains(static_cast<int>(v))) continue;
+        res.ok = false;
+        res.violations.push_back(Violation{
+            (t_.multi() ? "ring " + std::to_string(r) + ": " : std::string()) +
+            "healthy member quarantined: node " + std::to_string(v) +
+            " was gray-failure evicted but no fault degraded it"});
+      }
+    }
+  }
+
+ private:
+  const FaultTarget& t_;
+  bool churn_ = false;
+  std::set<int> degraded_;
+  std::set<std::pair<size_t, uint64_t>> ejected_;  ///< (ring, ring id)
+};
+
+/// Fold one oracle's verdict into the run's.
+void fold(RunResult& res, bool ok, const std::vector<Violation>& violations) {
+  res.ok = res.ok && ok;
+  res.violations.insert(res.violations.end(), violations.begin(),
+                        violations.end());
+}
+
+/// What every run ends with: the cluster counters, the ejection audit, the
+/// faults this K could not apply, the joined report, and — for a failing run
+/// with artifacts on — the flight record: violations, each node's recent
+/// trace, the disks' injected storage faults, and a metric snapshot.
+RunResult finish_run(RunResult res, const FaultTarget& t,
+                     const EjectionAudit& audit, const RunOptions& opt,
+                     const Schedule& schedule, uint64_t seed) {
+  t.each([&res](harness::SimCluster& c) {
+    const harness::ClusterStats stats = c.stats();
+    res.quarantines += stats.quarantines();
+    res.readmits += stats.readmits();
+  });
+  audit.judge(res);
+  for (const Violation& v : t.unsupported) {
+    res.ok = false;
+    res.violations.push_back(v);
+  }
+  res.report = join_reports({&res.violations});
+  if (res.ok || opt.artifact_dir.empty()) return res;
+
+  const obs::MetricsRegistry metrics =
+      t.rings != nullptr ? t.rings->merged_metrics()
+                         : t.clusters.front()->merged_metrics();
+  obs::FlightRecord record;
+  record.scenario = schedule.scenario;
+  record.seed = seed;
+  record.captured_at = t.eq().now();
+  for (const Violation& v : res.violations) record.violations.push_back(v.what);
+  for (size_t r = 0; r < t.clusters.size(); ++r) {
+    harness::SimCluster& c = *t.clusters[r];
+    for (int n = 0; n < c.size(); ++n) {
+      // What each disk actually did to the data (desync windows, torn-write
+      // resolutions, bit flips, ENOSPC) is what a durability failure
+      // reproduces from.
+      for (const std::string& line : c.disk(n).fault_log()) {
+        record.storage_faults.push_back(t.node_name(r, n) + ": " + line);
+      }
+      obs::FlightNode fn;
+      fn.name = t.node_name(r, n);
+      fn.events = c.tracer(n).snapshot();
+      record.nodes.push_back(std::move(fn));
+    }
+  }
+  record.metrics = &metrics;
+  res.artifact_path = obs::dump_flight(record, opt.artifact_dir);
+  return res;
+}
+
+simnet::Topology campaign_topology(const Scenario* sc, int nodes) {
+  return sc != nullptr && sc->wan ? campaign_wan_topology(nodes)
+                                  : simnet::Topology::single_dc(nodes);
 }
 
 protocol::Service pick_service(uint32_t index) {
   // Mostly Agreed with a steady trickle of Safe, so both delivery paths and
   // both sides of the safe line are exercised under faults.
   return index % 5 == 0 ? protocol::Service::kSafe : protocol::Service::kAgreed;
+}
+
+/// A workload payload stamped with its submitter, index, and submit time.
+std::vector<std::byte> stamped_payload(const RunOptions& opt, Nanos now,
+                                       int node, uint32_t index) {
+  harness::PayloadStamp stamp;
+  stamp.inject_time = now;
+  stamp.sender = static_cast<uint32_t>(node);
+  stamp.index = index;
+  return harness::make_payload(opt.payload_size, stamp);
 }
 
 /// Schedule the per-node workload chains on `eq`. `submit` is called with
@@ -61,89 +478,28 @@ void arm_workload(simnet::EventQueue& eq, const RunOptions& opt,
   }
 }
 
+/// Raw-submit or client-level run on a single cluster.
 RunResult run_single(const RunOptions& opt, const Schedule& schedule,
                      uint64_t seed) {
   const Scenario* sc = find_scenario(schedule.scenario);
   const bool with_clients = sc != nullptr && sc->client_level;
-  const bool wan = sc != nullptr && sc->wan;
   RunOptions ropt = opt;
   if (with_clients) {
     // A client run must be able to overload its daemons within one burst:
     // clamp the engine queue so sends actually cross the high-water line.
     ropt.proto.max_pending = std::min<size_t>(ropt.proto.max_pending, 384);
   }
-  const simnet::Topology topo = wan ? campaign_wan_topology(ropt.nodes)
-                                    : simnet::Topology::single_dc(ropt.nodes);
-  harness::SimCluster cluster(topo, ropt.fabric, ropt.proto, ropt.profile,
-                              seed);
+  harness::SimCluster cluster(campaign_topology(sc, ropt.nodes), ropt.fabric,
+                              ropt.proto, ropt.profile, seed);
   // Metrics ride along only when a failure would dump them: recording is
   // perturbation-free (obs_determinism_test), so the verdict is unaffected,
   // and passing runs skip the registry allocations.
   if (!ropt.artifact_dir.empty()) cluster.enable_metrics();
   ClusterOracle oracle(ropt.nodes);
   oracle.attach(cluster);
-
-  // Ejection audit (see RunResult::false_ejections). Partitions, crashes,
-  // and restarts can legitimately remove any node from a configuration; a
-  // gray fault (slow CPU, lossy or severed link) justifies removing only its
-  // victim. Everyone else is healthy: a configuration that excludes a
-  // healthy, reachable node counts as a false ejection, and a gray-failure
-  // quarantine of one is a safety violation (checked after the run).
-  bool any_ejection_justified = false;
-  auto degraded = std::make_shared<std::set<int>>();
-  for (const FaultEvent& e : schedule.events) {
-    switch (e.kind) {
-      case FaultKind::kPartition:
-      case FaultKind::kCrash:
-      case FaultKind::kRestart:
-        any_ejection_justified = true;
-        break;
-      case FaultKind::kCpuMultiplier:
-        if (e.rate > 1.0) degraded->insert(e.node);
-        break;
-      case FaultKind::kLinkLoss:
-        degraded->insert(e.node);
-        break;
-      case FaultKind::kLinkDown:
-        // A severed directed link degrades both endpoints' view of each
-        // other; either may legitimately fall out of a configuration.
-        degraded->insert(e.node);
-        if (e.peer >= 0) degraded->insert(e.peer);
-        break;
-      case FaultKind::kRackPower:
-      case FaultKind::kRackRestore:
-      case FaultKind::kWanDown:
-      case FaultKind::kPowerLossAll:
-      case FaultKind::kPowerRestoreAll:
-        // Correlated crashes and a severed inter-DC path can legitimately
-        // remove any member from a configuration.
-        any_ejection_justified = true;
-        break;
-      case FaultKind::kSwitchBrownout:
-        // Every host behind the browned switch is degraded; a quarantine of
-        // one is legitimate, of anyone else a violation.
-        for (int h = 0; h < topo.num_hosts(); ++h) {
-          if (topo.dc_of(h) == e.node) degraded->insert(h);
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  auto ejected = std::make_shared<std::set<uint64_t>>();
-  if (!any_ejection_justified) {
-    cluster.add_on_config([&cluster, ejected, degraded, nodes = ropt.nodes](
-                              int, const protocol::ConfigurationChange& c) {
-      if (c.transitional) return;
-      for (int n = 0; n < nodes; ++n) {
-        if (cluster.net().host_down(n) || degraded->contains(n)) continue;
-        const auto pid = static_cast<protocol::ProcessId>(n);
-        bool member = false;
-        for (const auto m : c.config.members) member = member || m == pid;
-        if (!member) ejected->insert(c.config.ring_id);
-      }
-    });
-  }
+  FaultTarget faults(cluster);
+  faults.oracles = {&oracle};
+  const EjectionAudit audit(schedule, faults);
 
   std::unique_ptr<ClientFleet> fleet;
   if (with_clients) {
@@ -151,257 +507,37 @@ RunResult run_single(const RunOptions& opt, const Schedule& schedule,
     fopt.daemon.session_queue_limit = 48;
     fopt.seed = seed;
     fleet = std::make_unique<ClientFleet>(cluster, fopt);
+    faults.fleet = fleet.get();
   }
-  ClientFleet* fleetp = fleet.get();
 
   cluster.start_static();
-
-  auto fault = std::make_shared<FaultState>();
-  cluster.net().set_drop_filter(token_drop_filter(fault));
-
-  simnet::EventQueue& eq = cluster.eq();
-  for (const FaultEvent& e : schedule.events) {
-    eq.schedule_after(e.at, [&cluster, &oracle, fault, fleetp, e] {
-      simnet::Network& net = cluster.net();
-      switch (e.kind) {
-        case FaultKind::kLossBurst:
-          net.set_loss_rate(e.rate);
-          cluster.eq().schedule_after(e.duration,
-                                      [&net] { net.set_loss_rate(0); });
-          break;
-        case FaultKind::kTokenDrop:
-          fault->token_drops_pending += e.count;
-          break;
-        case FaultKind::kPartition:
-          for (int n : e.group) net.set_partition(n, 1);
-          break;
-        case FaultKind::kHeal:
-          net.heal();
-          break;
-        case FaultKind::kCrash:
-          if (!net.host_down(e.node)) {
-            cluster.crash_node(e.node);
-            oracle.note_crash(e.node);
-            if (fleetp != nullptr) fleetp->on_crash(e.node);
-          }
-          break;
-        case FaultKind::kRestart:
-          // Droppable by design: a restart whose crash was shrunk away (or
-          // that fires before it) is a no-op.
-          if (net.host_down(e.node)) {
-            cluster.restart_node(e.node);
-            oracle.note_restart(e.node);
-            if (fleetp != nullptr) fleetp->on_restart(e.node);
-          }
-          break;
-        case FaultKind::kLatencyShift:
-          // Shifts compose additively (overlapping congestion episodes add
-          // up); the expiry subtracts exactly its own onset, and the fabric
-          // clamps at 0 if a heal-all already absorbed it.
-          net.add_extra_latency(e.extra_latency);
-          cluster.eq().schedule_after(e.duration, [&net, e] {
-            net.add_extra_latency(-e.extra_latency);
-          });
-          break;
-        case FaultKind::kOverload:
-          if (fleetp != nullptr) fleetp->burst(e.node, e.count);
-          break;
-        case FaultKind::kCpuMultiplier:
-          // Droppable: rate 1 (or a multiplier shrunk away) is a no-op.
-          cluster.process(e.node).set_cpu_multiplier(e.rate);
-          break;
-        case FaultKind::kLinkLoss:
-          net.set_link_loss(e.peer, e.node, e.rate);
-          break;
-        case FaultKind::kLinkDown:
-          net.set_link_down(e.peer, e.node, true);
-          cluster.eq().schedule_after(e.duration, [&net, e] {
-            net.set_link_down(e.peer, e.node, false);
-          });
-          break;
-        case FaultKind::kReorder:
-          net.set_reorder(e.rate, e.extra_latency);
-          cluster.eq().schedule_after(e.duration,
-                                      [&net] { net.set_reorder(0, 0); });
-          break;
-        case FaultKind::kDuplicate:
-          net.set_duplicate(e.rate);
-          cluster.eq().schedule_after(e.duration,
-                                      [&net] { net.set_duplicate(0); });
-          break;
-        case FaultKind::kRackPower:
-          // One power domain dies at the same instant.
-          for (int n : e.group) {
-            if (!net.host_down(n)) {
-              cluster.crash_node(n);
-              oracle.note_crash(n);
-              if (fleetp != nullptr) fleetp->on_crash(n);
-            }
-          }
-          break;
-        case FaultKind::kRackRestore:
-          // Droppable like kRestart: hosts that were never crashed (or whose
-          // power-off was shrunk away) are skipped.
-          for (int n : e.group) {
-            if (net.host_down(n)) {
-              cluster.restart_node(n);
-              oracle.note_restart(n);
-              if (fleetp != nullptr) fleetp->on_restart(n);
-            }
-          }
-          break;
-        case FaultKind::kSwitchBrownout:
-          net.set_dc_brownout(e.node, e.rate, e.extra_latency);
-          cluster.eq().schedule_after(e.duration, [&net, e] {
-            net.set_dc_brownout(e.node, 0, 0);
-          });
-          break;
-        case FaultKind::kWanDown:
-          net.set_wan_down(e.node, e.peer, true);
-          cluster.eq().schedule_after(e.duration, [&net, e] {
-            net.set_wan_down(e.node, e.peer, false);
-          });
-          break;
-        case FaultKind::kPowerLossAll:
-          // Whole-cluster power loss works at the raw-submit level too (the
-          // per-node disks carry the epoch stores); the durable scenarios
-          // exercise it with full stores in run_kv.
-          for (int n = 0; n < cluster.size(); ++n) {
-            if (!net.host_down(n)) {
-              cluster.crash_node(n);
-              oracle.note_crash(n);
-              if (fleetp != nullptr) fleetp->on_crash(n);
-            }
-          }
-          break;
-        case FaultKind::kPowerRestoreAll:
-          for (int n = 0; n < cluster.size(); ++n) {
-            if (net.host_down(n)) {
-              cluster.restart_node(n);
-              oracle.note_restart(n);
-              if (fleetp != nullptr) fleetp->on_restart(n);
-            }
-          }
-          break;
-        case FaultKind::kDiskDesync:
-          cluster.disk(e.node).set_crash_mode(
-              e.count >= 2 ? storage::CrashMode::kReorder
-                           : storage::CrashMode::kTorn);
-          cluster.disk(e.node).set_write_cache_lies(true);
-          break;
-        case FaultKind::kDiskBitRot:
-          cluster.disk(e.node).flip_bits(static_cast<int>(e.count), "shard");
-          break;
-        case FaultKind::kDiskFull:
-          cluster.disk(e.node).set_capacity(1);
-          cluster.eq().schedule_after(e.duration, [&cluster, e] {
-            cluster.disk(e.node).set_capacity(0);
-          });
-          break;
-        case FaultKind::kDiskStall:
-          cluster.disk(e.node).stall_ops(static_cast<int>(e.count));
-          break;
-        case FaultKind::kRingOffline:
-        case FaultKind::kMigrate:
-          // Live-migration events drive the multi-ring runner; their
-          // scenarios are skipped at rings == 1.
-          break;
-      }
-    });
-  }
-
-  if (with_clients) {
+  arm_faults(faults, schedule);
+  if (fleet) {
     fleet->start(ropt.horizon);
   } else {
-    arm_workload(eq, ropt,
+    arm_workload(cluster.eq(), ropt,
                  [&cluster, &oracle, &ropt](int node, uint32_t index) {
       if (cluster.net().host_down(node)) return;
       oracle.note_submit(node, index);
-      harness::PayloadStamp stamp;
-      stamp.inject_time = cluster.eq().now();
-      stamp.sender = static_cast<uint32_t>(node);
-      stamp.index = index;
       cluster.submit(node, pick_service(index),
-                     harness::make_payload(ropt.payload_size, stamp));
+                     stamped_payload(ropt, cluster.eq().now(), node, index));
     });
   }
-
-  // Heal everything at the horizon so the drain can converge. Gray faults
-  // heal too: a quarantined member turns healthy here and probes its way
-  // back through probation during the drain.
-  eq.schedule_after(ropt.horizon, [&cluster, fault] {
-    cluster.net().heal();
-    cluster.net().set_loss_rate(0);
-    cluster.net().set_extra_latency(0);
-    cluster.net().clear_link_faults();  // WAN links up, brownouts off too
-    for (int n = 0; n < cluster.size(); ++n) {
-      // Back to the *constructed* speed: heterogeneous topologies keep their
-      // hardware through a heal (1.0 on homogeneous clusters, as before).
-      cluster.process(n).set_cpu_multiplier(cluster.base_cpu_multiplier(n));
-    }
-    fault->token_drops_pending = 0;
-  });
-
+  arm_heal(faults, ropt.horizon);
   cluster.run_until(ropt.horizon + ropt.drain);
 
   const harness::ClusterStats stats = cluster.stats();
   oracle.finalize(&stats);
-
   RunResult res;
-  res.ok = oracle.ok();
-  res.violations = oracle.violations();
+  res.ok = true;
+  fold(res, oracle.ok(), oracle.violations());
   res.delivered = oracle.observed();
-  res.false_ejections = ejected->size();
-  res.quarantines = stats.quarantines();
-  res.readmits = stats.readmits();
-  // Healthy-member quarantine audit: every pid any engine's membership layer
-  // ever quarantined (read from the quarantine log, which — unlike the trace
-  // ring buffer — never wraps) must have been the target of a gray fault.
-  // Crash/partition/restart schedules are exempt: membership churn there can
-  // hand the detector a legitimately torn ring.
-  if (!any_ejection_justified) {
-    std::set<protocol::ProcessId> blamed;
-    for (int n = 0; n < ropt.nodes; ++n) {
-      for (const protocol::ProcessId v :
-           cluster.engine(n).quarantine_victims()) {
-        blamed.insert(v);
-      }
-    }
-    for (const protocol::ProcessId v : blamed) {
-      if (degraded->contains(static_cast<int>(v))) continue;
-      res.ok = false;
-      res.violations.push_back(Violation{
-          "healthy member quarantined: node " + std::to_string(v) +
-          " was gray-failure evicted but no fault degraded it"});
-    }
-  }
   if (fleet) {
     const FleetReport fr = fleet->finalize();
+    fold(res, fr.ok, fr.violations);
     res.client_delivered = fr.delivered;
-    res.ok = res.ok && fr.ok;
-    for (const Violation& v : fr.violations) res.violations.push_back(v);
   }
-  const std::vector<const std::vector<Violation>*> lists = {&res.violations};
-  res.report = join_reports(lists);
-  if (!res.ok && !ropt.artifact_dir.empty()) {
-    const obs::MetricsRegistry merged = cluster.merged_metrics();
-    obs::FlightRecord record;
-    record.scenario = schedule.scenario;
-    record.seed = seed;
-    record.captured_at = cluster.eq().now();
-    for (const Violation& v : res.violations) {
-      record.violations.push_back(v.what);
-    }
-    for (int n = 0; n < ropt.nodes; ++n) {
-      obs::FlightNode fn;
-      fn.name = "node" + std::to_string(n);
-      fn.events = cluster.tracer(n).snapshot();
-      record.nodes.push_back(std::move(fn));
-    }
-    record.metrics = &merged;
-    res.artifact_path = obs::dump_flight(record, ropt.artifact_dir);
-  }
-  return res;
+  return finish_run(std::move(res), faults, audit, ropt, schedule, seed);
 }
 
 /// KV-level run: a full KvService + SessionWorkload + KvOracle on a single
@@ -411,14 +547,15 @@ RunResult run_single(const RunOptions& opt, const Schedule& schedule,
 RunResult run_kv(const RunOptions& opt, const Schedule& schedule,
                  uint64_t seed) {
   const Scenario* sc = find_scenario(schedule.scenario);
-  const bool wan = sc != nullptr && sc->wan;
   const bool durable = sc != nullptr && sc->durable;
-  const simnet::Topology topo = wan ? campaign_wan_topology(opt.nodes)
-                                    : simnet::Topology::single_dc(opt.nodes);
-  harness::SimCluster cluster(topo, opt.fabric, opt.proto, opt.profile, seed);
+  harness::SimCluster cluster(campaign_topology(sc, opt.nodes), opt.fabric,
+                              opt.proto, opt.profile, seed);
   if (!opt.artifact_dir.empty()) cluster.enable_metrics();
   ClusterOracle oracle(opt.nodes);
   oracle.attach(cluster);
+  FaultTarget faults(cluster);
+  faults.oracles = {&oracle};
+  const EjectionAudit audit(schedule, faults);
 
   kv::ServiceConfig scfg;
   scfg.shards = 1;
@@ -436,14 +573,15 @@ RunResult run_kv(const RunOptions& opt, const Schedule& schedule,
   if (!opt.artifact_dir.empty()) service.bind_metrics();
   KvOracle kv_oracle;
   DurabilityOracle dur_oracle;
-  DurabilityOracle* durp = nullptr;
+  faults.service = &service;
+  faults.kv_oracle = &kv_oracle;
   if (durable) {
+    faults.durability = &dur_oracle;
     // One set of service observers fans out to both oracles (the KvOracle
     // first, so mutation history is recorded before durability bookkeeping
     // reads the same event).
     kv_oracle.bind(service);
     dur_oracle.bind(service);
-    durp = &dur_oracle;
     service.set_on_applied([&kv_oracle, &dur_oracle](
                                int node, int shard,
                                const kv::AppliedOp& applied, Nanos at) {
@@ -480,180 +618,30 @@ RunResult run_kv(const RunOptions& opt, const Schedule& schedule,
   // WAN: a quorum round-trip crosses 3 ms links, and a rack-power view
   // change takes several WAN token rotations — give ops headroom to retry
   // past it instead of timing out spuriously.
-  if (wan) wcfg.op_timeout = util::msec(80);
+  if (sc != nullptr && sc->wan) wcfg.op_timeout = util::msec(80);
   wcfg.measure_from = 0;
   wcfg.seed = seed;
   kv::SessionWorkload workload(service, wcfg);
 
   cluster.start_static();
   workload.start();
-
-  auto fault = std::make_shared<FaultState>();
-  cluster.net().set_drop_filter(token_drop_filter(fault));
-
-  simnet::EventQueue& eq = cluster.eq();
-  for (const FaultEvent& e : schedule.events) {
-    eq.schedule_after(e.at, [&cluster, &oracle, &service, &kv_oracle, durp,
-                             fault, e] {
-      simnet::Network& net = cluster.net();
-      // The crash choreography (shared by single-node, rack, and
-      // whole-cluster power events): the durability oracle snapshots the
-      // node's applied versions before the crash resolves un-fsynced disk
-      // state, and judges the recovered versions right after the restart.
-      const auto crash_one = [&](int n) {
-        if (net.host_down(n)) return;
-        if (durp != nullptr) durp->note_crash(n);
-        cluster.crash_node(n);
-        oracle.note_crash(n);
-        service.on_crash(n);
-      };
-      const auto restart_one = [&](int n) {
-        if (!net.host_down(n)) return false;
-        cluster.restart_node(n);
-        oracle.note_restart(n);
-        service.on_restart(n);
-        kv_oracle.note_restart(n);
-        if (durp != nullptr) durp->note_restart(n);
-        return true;
-      };
-      switch (e.kind) {
-        case FaultKind::kLossBurst:
-          net.set_loss_rate(e.rate);
-          cluster.eq().schedule_after(e.duration,
-                                      [&net] { net.set_loss_rate(0); });
-          break;
-        case FaultKind::kTokenDrop:
-          fault->token_drops_pending += e.count;
-          break;
-        case FaultKind::kPartition:
-          for (int n : e.group) net.set_partition(n, 1);
-          break;
-        case FaultKind::kHeal:
-          net.heal();
-          break;
-        case FaultKind::kCrash:
-          crash_one(e.node);
-          break;
-        case FaultKind::kRestart:
-          restart_one(e.node);
-          break;
-        case FaultKind::kRackPower:
-          for (int n : e.group) crash_one(n);
-          break;
-        case FaultKind::kRackRestore:
-          for (int n : e.group) restart_one(n);
-          break;
-        case FaultKind::kPowerLossAll:
-          for (int n = 0; n < cluster.size(); ++n) crash_one(n);
-          break;
-        case FaultKind::kPowerRestoreAll: {
-          bool any = false;
-          for (int n = 0; n < cluster.size(); ++n) {
-            any = restart_one(n) || any;
-          }
-          // The whole cluster is back: judge what survived against the
-          // committed history, then roll the KV oracle onto the revived
-          // lineage. Skipped when the power loss was shrunk away.
-          if (any && durp != nullptr) {
-            durp->note_cluster_recovery(&kv_oracle);
-          }
-          break;
-        }
-        case FaultKind::kDiskDesync:
-          cluster.disk(e.node).set_crash_mode(
-              e.count >= 2 ? storage::CrashMode::kReorder
-                           : storage::CrashMode::kTorn);
-          cluster.disk(e.node).set_write_cache_lies(true);
-          if (durp != nullptr) {
-            durp->note_disk_unsafe(e.node, "lying write cache");
-          }
-          break;
-        case FaultKind::kDiskBitRot:
-          cluster.disk(e.node).flip_bits(static_cast<int>(e.count), "shard");
-          if (durp != nullptr) durp->note_disk_unsafe(e.node, "bit rot");
-          break;
-        case FaultKind::kDiskFull:
-          cluster.disk(e.node).set_capacity(1);
-          if (durp != nullptr) durp->note_disk_unsafe(e.node, "enospc");
-          cluster.eq().schedule_after(e.duration, [&cluster, e] {
-            cluster.disk(e.node).set_capacity(0);
-          });
-          break;
-        case FaultKind::kDiskStall:
-          cluster.disk(e.node).stall_ops(static_cast<int>(e.count));
-          if (durp != nullptr) durp->note_disk_unsafe(e.node, "io stall");
-          break;
-        default:
-          // The kv scenarios only emit the faults above; anything else in a
-          // hand-written schedule is ignored here.
-          break;
-      }
-    });
-  }
-
-  eq.schedule_after(opt.horizon, [&cluster, fault] {
-    cluster.net().heal();
-    cluster.net().set_loss_rate(0);
-    cluster.net().set_extra_latency(0);
-    cluster.net().clear_link_faults();  // WAN links up, brownouts off too
-    fault->token_drops_pending = 0;
-  });
-
+  arm_faults(faults, schedule);
+  arm_heal(faults, opt.horizon);
   cluster.run_until(opt.horizon + opt.drain);
 
   const harness::ClusterStats stats = cluster.stats();
   oracle.finalize(&stats);
   kv_oracle.finalize();
-  if (durp != nullptr) durp->finalize();
+  if (durable) dur_oracle.finalize();
 
   RunResult res;
-  res.ok = oracle.ok() && kv_oracle.ok() &&
-           (durp == nullptr || durp->ok());
-  res.violations = oracle.violations();
-  for (const Violation& v : kv_oracle.violations()) {
-    res.violations.push_back(v);
-  }
-  if (durp != nullptr) {
-    for (const Violation& v : durp->violations()) {
-      res.violations.push_back(v);
-    }
-  }
+  res.ok = true;
+  fold(res, oracle.ok(), oracle.violations());
+  fold(res, kv_oracle.ok(), kv_oracle.violations());
+  if (durable) fold(res, dur_oracle.ok(), dur_oracle.violations());
   res.delivered = oracle.observed();
-  res.quarantines = stats.quarantines();
-  res.readmits = stats.readmits();
   res.client_delivered = workload.stats().completed;
-  // Every kv scenario holds a crash, so the healthy-quarantine and
-  // false-ejection audits of run_single do not apply here.
-  const std::vector<const std::vector<Violation>*> lists = {&res.violations};
-  res.report = join_reports(lists);
-  if (!res.ok && !opt.artifact_dir.empty()) {
-    const obs::MetricsRegistry merged = cluster.merged_metrics();
-    obs::FlightRecord record;
-    record.scenario = schedule.scenario;
-    record.seed = seed;
-    record.captured_at = cluster.eq().now();
-    for (const Violation& v : res.violations) {
-      record.violations.push_back(v.what);
-    }
-    // The injected storage-fault schedule, verbatim: what each node's disk
-    // actually did to the data (desync windows, torn-write resolutions, bit
-    // flips, ENOSPC) is exactly what a durability failure reproduces from.
-    for (int n = 0; n < opt.nodes; ++n) {
-      for (const std::string& line : cluster.disk(n).fault_log()) {
-        record.storage_faults.push_back("node" + std::to_string(n) + ": " +
-                                        line);
-      }
-    }
-    for (int n = 0; n < opt.nodes; ++n) {
-      obs::FlightNode fn;
-      fn.name = "node" + std::to_string(n);
-      fn.events = cluster.tracer(n).snapshot();
-      record.nodes.push_back(std::move(fn));
-    }
-    record.metrics = &merged;
-    res.artifact_path = obs::dump_flight(record, opt.artifact_dir);
-  }
-  return res;
+  return finish_run(std::move(res), faults, audit, opt, schedule, seed);
 }
 
 /// The migration campaigns' keyed workload: a small universe of shared
@@ -670,6 +658,8 @@ uint64_t keyed_stream_id(bool zipf, int node, uint32_t index) {
   return std::min(h % kKeyUniverse, (h >> 32) % kKeyUniverse);
 }
 
+/// K > 1 run: a RingSet with a ClusterOracle per ring and the MergedOracle
+/// over every node's merged stream.
 RunResult run_multi(const RunOptions& opt, const Schedule& schedule,
                     uint64_t seed) {
   const Scenario* msc = find_scenario(schedule.scenario);
@@ -698,12 +688,15 @@ RunResult run_multi(const RunOptions& opt, const Schedule& schedule,
   // Same contract as run_single: metrics only feed the flight recorder.
   if (!opt.artifact_dir.empty()) rings.enable_metrics();
 
+  FaultTarget faults(rings);
   std::vector<std::unique_ptr<ClusterOracle>> oracles;
   for (int r = 0; r < opt.rings; ++r) {
     oracles.push_back(std::make_unique<ClusterOracle>(
         opt.nodes, "ring " + std::to_string(r)));
     oracles.back()->attach(rings.ring(r));
+    faults.oracles.push_back(oracles.back().get());
   }
+  const EjectionAudit audit(schedule, faults);
 
   MergedOracle merged(opt.nodes);
   if (opt.inject_merge_bug) {
@@ -748,230 +741,43 @@ RunResult run_multi(const RunOptions& opt, const Schedule& schedule,
   }
 
   rings.start_static();
-
-  auto fault = std::make_shared<FaultState>();
-  for (int r = 0; r < opt.rings; ++r) {
-    rings.ring(r).net().set_drop_filter(token_drop_filter(fault));
-  }
-
-  simnet::EventQueue& eq = rings.eq();
-  for (const FaultEvent& e : schedule.events) {
-    eq.schedule_after(e.at, [&rings, &oracles, &eq, fault, e] {
-      switch (e.kind) {
-        case FaultKind::kLossBurst:
-          for (int r = 0; r < rings.num_rings(); ++r) {
-            rings.ring(r).net().set_loss_rate(e.rate);
-          }
-          eq.schedule_after(e.duration, [&rings] {
-            for (int r = 0; r < rings.num_rings(); ++r) {
-              rings.ring(r).net().set_loss_rate(0);
-            }
-          });
-          break;
-        case FaultKind::kTokenDrop:
-          fault->token_drops_pending += e.count;
-          break;
-        case FaultKind::kPartition:
-          for (int r = 0; r < rings.num_rings(); ++r) {
-            for (int n : e.group) rings.ring(r).net().set_partition(n, 1);
-          }
-          break;
-        case FaultKind::kHeal:
-          for (int r = 0; r < rings.num_rings(); ++r) {
-            rings.ring(r).net().heal();
-          }
-          break;
-        case FaultKind::kCrash:
-          if (!rings.node_down(e.node)) {
-            rings.crash_node(e.node);
-            for (auto& oracle : oracles) oracle->note_crash(e.node);
-          }
-          break;
-        case FaultKind::kRestart:
-          // Cold restart is single-ring only: a restarted node's merged
-          // stream would legitimately hold gaps (messages delivered while
-          // it was down), which the merged-prefix oracle must not excuse.
-          break;
-        case FaultKind::kLatencyShift:
-          // Additive, so overlapping shifts (wan_latency_surge) compose and
-          // each expiry removes only its own contribution.
-          for (int r = 0; r < rings.num_rings(); ++r) {
-            rings.ring(r).net().add_extra_latency(e.extra_latency);
-          }
-          eq.schedule_after(e.duration, [&rings, e] {
-            for (int r = 0; r < rings.num_rings(); ++r) {
-              rings.ring(r).net().add_extra_latency(-e.extra_latency);
-            }
-          });
-          break;
-        case FaultKind::kOverload:
-          // Client-level fault; client scenarios are single-ring only.
-          break;
-        case FaultKind::kCpuMultiplier:
-        case FaultKind::kLinkLoss:
-        case FaultKind::kLinkDown:
-          // Targeted gray faults: their scenarios are not multiring-safe.
-          break;
-        case FaultKind::kReorder:
-          for (int r = 0; r < rings.num_rings(); ++r) {
-            rings.ring(r).net().set_reorder(e.rate, e.extra_latency);
-          }
-          eq.schedule_after(e.duration, [&rings] {
-            for (int r = 0; r < rings.num_rings(); ++r) {
-              rings.ring(r).net().set_reorder(0, 0);
-            }
-          });
-          break;
-        case FaultKind::kDuplicate:
-          for (int r = 0; r < rings.num_rings(); ++r) {
-            rings.ring(r).net().set_duplicate(e.rate);
-          }
-          eq.schedule_after(e.duration, [&rings] {
-            for (int r = 0; r < rings.num_rings(); ++r) {
-              rings.ring(r).net().set_duplicate(0);
-            }
-          });
-          break;
-        case FaultKind::kRackPower:
-        case FaultKind::kRackRestore:
-        case FaultKind::kSwitchBrownout:
-        case FaultKind::kWanDown:
-          // Correlated crash/restart and topology faults: their scenarios
-          // are not multiring-safe (restart is single-ring only, and the
-          // merged-prefix oracle cannot excuse a whole rack's gap).
-          break;
-        case FaultKind::kPowerLossAll:
-        case FaultKind::kPowerRestoreAll:
-        case FaultKind::kDiskDesync:
-        case FaultKind::kDiskBitRot:
-        case FaultKind::kDiskFull:
-        case FaultKind::kDiskStall:
-          // Storage faults drive the durable KV scenarios, which are
-          // single-ring only.
-          break;
-        case FaultKind::kRingOffline:
-          // Construction-time hint, consumed before the run started.
-          break;
-        case FaultKind::kMigrate: {
-          // Droppable by design: an empty plan (adding an active ring,
-          // removing the last active one, moving a span onto itself) or a
-          // migration already in flight makes start_migration a no-op.
-          if (!rings.migration_idle()) break;
-          const multiring::ShardMap& map = rings.shards();
-          const int k = rings.num_rings();
-          const auto ring_arg = [k](int r) { return r < 0 ? k - 1 : r % k; };
-          multiring::MigrationPlan plan;
-          switch (e.count) {
-            case 1:
-              plan = map.plan_add_ring(ring_arg(e.peer));
-              break;
-            case 2:
-              plan = map.plan_remove_ring(ring_arg(e.node));
-              break;
-            case 3:
-              plan = map.plan_move_fraction(ring_arg(e.node),
-                                            ring_arg(e.peer), e.rate);
-              break;
-            case 4: {
-              // Rebalance: the ring owning stream id 0 (the zipf-hot key) is
-              // the hottest; the smallest ownership share takes the slice.
-              const int hot = map.ring_of_key(multiring::mix64(0));
-              int coldest = 0;
-              for (int r = 1; r < k; ++r) {
-                if (map.owned_fraction(r) < map.owned_fraction(coldest)) {
-                  coldest = r;
-                }
-              }
-              plan = map.plan_move_fraction(hot, coldest, e.rate);
-              break;
-            }
-            default:
-              break;
-          }
-          (void)rings.start_migration(plan);
-          break;
-        }
-      }
-    });
-  }
-
+  arm_faults(faults, schedule);
   if (migration) {
     // Keyed workload through the per-node ShardRouters: the router (not the
     // caller) picks the ring, holding moving keys across each handoff, so
     // the per-ring self-delivery bookkeeping does not apply here — the
     // MergedOracle's handoff audit owns the continuity obligations.
-    arm_workload(eq, opt, [&rings, &opt, zipf](int node, uint32_t index) {
+    arm_workload(rings.eq(), opt,
+                 [&rings, &opt, zipf](int node, uint32_t index) {
       if (rings.node_down(node)) return;
-      harness::PayloadStamp stamp;
-      stamp.inject_time = rings.eq().now();
-      stamp.sender = static_cast<uint32_t>(node);
-      stamp.index = index;
       rings.submit_keyed(node, keyed_stream_id(zipf, node, index),
                          pick_service(index),
-                         harness::make_payload(opt.payload_size, stamp));
+                         stamped_payload(opt, rings.eq().now(), node, index));
     });
   } else {
-    arm_workload(eq, opt, [&rings, &oracles, &opt](int node, uint32_t index) {
+    arm_workload(rings.eq(), opt,
+                 [&rings, &oracles, &opt](int node, uint32_t index) {
       if (rings.node_down(node)) return;
       const int ring = static_cast<int>(index) % opt.rings;
       oracles[static_cast<size_t>(ring)]->note_submit(node, index);
-      harness::PayloadStamp stamp;
-      stamp.inject_time = rings.eq().now();
-      stamp.sender = static_cast<uint32_t>(node);
-      stamp.index = index;
       rings.submit(node, ring, pick_service(index),
-                   harness::make_payload(opt.payload_size, stamp));
+                   stamped_payload(opt, rings.eq().now(), node, index));
     });
   }
-
-  eq.schedule_after(opt.horizon, [&rings, fault] {
-    for (int r = 0; r < rings.num_rings(); ++r) {
-      rings.ring(r).net().heal();
-      rings.ring(r).net().set_loss_rate(0);
-      rings.ring(r).net().set_extra_latency(0);
-      rings.ring(r).net().clear_link_faults();
-    }
-    fault->token_drops_pending = 0;
-  });
-
+  arm_heal(faults, opt.horizon);
   rings.run_until(opt.horizon + opt.drain);
-
-  // No gray fault runs against a ring set, so any quarantine here hit a
-  // healthy member by definition (crash/partition schedules excepted — their
-  // churn can legitimately tear a ring mid-verdict).
-  bool churn_justified = false;
-  for (const FaultEvent& e : schedule.events) {
-    churn_justified = churn_justified || e.kind == FaultKind::kPartition ||
-                      e.kind == FaultKind::kCrash;
-  }
 
   RunResult res;
   res.ok = true;
   for (int r = 0; r < opt.rings; ++r) {
+    ClusterOracle& oracle = *oracles[static_cast<size_t>(r)];
     const harness::ClusterStats stats = rings.ring(r).stats();
-    res.quarantines += stats.quarantines();
-    res.readmits += stats.readmits();
-    if (!churn_justified) {
-      for (int n = 0; n < opt.nodes; ++n) {
-        for (const protocol::ProcessId v :
-             rings.ring(r).engine(n).quarantine_victims()) {
-          res.ok = false;
-          res.violations.push_back(Violation{
-              "ring " + std::to_string(r) +
-              ": healthy member quarantined: node " + std::to_string(v)});
-        }
-      }
-    }
-    oracles[static_cast<size_t>(r)]->finalize(&stats);
-    res.delivered += oracles[static_cast<size_t>(r)]->observed();
-    res.ok = res.ok && oracles[static_cast<size_t>(r)]->ok();
-    for (const Violation& v : oracles[static_cast<size_t>(r)]->violations()) {
-      res.violations.push_back(v);
-    }
+    oracle.finalize(&stats);
+    fold(res, oracle.ok(), oracle.violations());
+    res.delivered += oracle.observed();
   }
   merged.finalize();
-  res.ok = res.ok && merged.ok();
-  for (const Violation& v : merged.violations()) res.violations.push_back(v);
+  fold(res, merged.ok(), merged.violations());
   // Handoff liveness: once the last migration completed (controller idle),
   // every held keyed submission must have flushed to its destination. A
   // migration still in flight at the end of the drain (e.g. started during
@@ -982,30 +788,7 @@ RunResult run_multi(const RunOptions& opt, const Schedule& schedule,
         "migration completed but " + std::to_string(rings.held_messages()) +
         " keyed message(s) still held un-flushed"});
   }
-  std::vector<const std::vector<Violation>*> lists = {&res.violations};
-  res.report = join_reports(lists);
-  if (!res.ok && !opt.artifact_dir.empty()) {
-    const obs::MetricsRegistry reg = rings.merged_metrics();
-    obs::FlightRecord record;
-    record.scenario = schedule.scenario;
-    record.seed = seed;
-    record.captured_at = rings.eq().now();
-    for (const Violation& v : res.violations) {
-      record.violations.push_back(v.what);
-    }
-    for (int r = 0; r < opt.rings; ++r) {
-      for (int n = 0; n < opt.nodes; ++n) {
-        obs::FlightNode fn;
-        fn.name =
-            "ring" + std::to_string(r) + "/node" + std::to_string(n);
-        fn.events = rings.ring(r).tracer(n).snapshot();
-        record.nodes.push_back(std::move(fn));
-      }
-    }
-    record.metrics = &reg;
-    res.artifact_path = obs::dump_flight(record, opt.artifact_dir);
-  }
-  return res;
+  return finish_run(std::move(res), faults, audit, opt, schedule, seed);
 }
 
 }  // namespace
@@ -1096,7 +879,8 @@ CampaignResult run_campaign(const CampaignOptions& opt) {
     }
     for (uint64_t s : opt.extra_seeds) seeds.push_back(s);
 
-    int scenario_failures = 0;
+    // Counters as of this scenario's start, for its verbose line.
+    const CampaignResult before = result;
     for (uint64_t seed : seeds) {
       // The schedule derives from (scenario, seed) alone, so a failure
       // reproduces from the printed pair.
@@ -1113,7 +897,6 @@ CampaignResult run_campaign(const CampaignOptions& opt) {
       if (run.ok) continue;
 
       ++result.failures;
-      ++scenario_failures;
       std::fprintf(stderr,
                    "campaign FAILURE scenario=%s seed=%llu rings=%d\n  %s\n",
                    sc.name, static_cast<unsigned long long>(seed),
@@ -1141,9 +924,18 @@ CampaignResult run_campaign(const CampaignOptions& opt) {
       }
     }
     if (opt.verbose) {
-      std::fprintf(stderr, "campaign scenario=%-22s rings=%d seeds=%zu %s\n",
-                   sc.name, opt.run.rings, seeds.size(),
-                   scenario_failures == 0 ? "ok" : "FAILED");
+      std::fprintf(
+          stderr,
+          "campaign scenario=%-31s rings=%d runs=%d delivered=%llu "
+          "quarantines=%llu readmits=%llu false_ejections=%llu %s\n",
+          sc.name, opt.run.rings, result.runs - before.runs,
+          static_cast<unsigned long long>(result.delivered - before.delivered),
+          static_cast<unsigned long long>(result.quarantines -
+                                          before.quarantines),
+          static_cast<unsigned long long>(result.readmits - before.readmits),
+          static_cast<unsigned long long>(result.false_ejections -
+                                          before.false_ejections),
+          result.failures == before.failures ? "ok" : "FAILED");
     }
   }
   return result;

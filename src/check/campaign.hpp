@@ -3,6 +3,12 @@
 // run_schedule() drives one seeded simulation — a SimCluster, or a RingSet
 // when rings > 1 — under a fault Schedule with the safety oracles attached,
 // heals every fault at the horizon, drains, and returns the oracle verdict.
+// Its runners (raw or client-level, KV, multi-ring) differ only in workload
+// driver and extra oracles; one fault applier serves them all, fanning each
+// event out over every ring (one machine hosts a node's engine in each), and
+// one audit, heal and flight recorder close every run. Restarts cannot be
+// judged at rings > 1 yet, so a restart event there fails the run with a
+// violation rather than being dropped.
 // run_campaign() sweeps every applicable scenario across N seeds, prints
 // each failure's seed and schedule (a failure reproduces from those alone),
 // and greedily shrinks the failing schedule to a minimal reproducer.
@@ -76,10 +82,12 @@ struct RunResult {
   bool ok = false;
   std::vector<Violation> violations;
   uint64_t delivered = 0;  ///< deliveries the oracles observed
-  /// Distinct regular configurations that excluded a live node, counted only
-  /// when the schedule held no partition/crash/restart (then no ejection is
-  /// justified). Not a safety violation — EVS permits spurious view changes —
-  /// but the liveness regression adaptive timeouts exist to prevent.
+  /// Distinct regular configurations (summed over rings) that excluded a
+  /// live node no gray fault degraded, counted only when the schedule held
+  /// no churn (partition, crash, restart, rack or whole-cluster power, WAN
+  /// down), so no ejection is justified. Not a safety violation — EVS
+  /// permits spurious view changes — but the liveness regression adaptive
+  /// timeouts exist to prevent.
   uint64_t false_ejections = 0;
   /// Gray-failure quarantine evictions initiated / probations completed
   /// across all engines. A quarantine of a node no fault degraded is a

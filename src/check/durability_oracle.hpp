@@ -64,8 +64,9 @@ class DurabilityOracle {
   /// recovered whatever was durable; the fault window is over).
   void note_disk_unsafe(int node, const std::string& why);
 
-  /// `node` just crashed (call after the service's on_crash): captures the
-  /// per-shard applied versions the recovery will be judged against.
+  /// `node` is about to crash (call before SimCluster::crash_node resolves
+  /// its un-fsynced disk state): captures the per-shard applied versions
+  /// the recovery will be judged against.
   void note_crash(int node);
 
   /// `node` just came back (call after the service's on_restart, before the

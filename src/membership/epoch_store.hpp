@@ -9,15 +9,14 @@
 // epoch across restarts closes the hole: a reborn daemon resumes counting
 // from strictly above everything it ever created or saw.
 //
-// Two implementations: FileEpochStore (a tiny write-rename-fsync file, for
-// real daemons) and MemoryEpochStore (for the simulator, where "disk" is a
-// heap object that survives SimCluster::restart_node while the engine does
-// not).
+// This header holds only the interface, so membership does not depend on
+// the storage layer. The one implementation is storage::DiskEpochStore
+// (storage/epoch_store.hpp): over a storage::FileDisk for real daemons, and
+// over each node's storage::SimDisk in the simulator, where the disk
+// survives SimCluster::restart_node while the engine does not.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 namespace accelring::membership {
 
@@ -28,37 +27,6 @@ class EpochStore {
   [[nodiscard]] virtual uint64_t load() = 0;
   /// Persist `epoch` if it exceeds the stored value (monotonic).
   virtual void store(uint64_t epoch) = 0;
-};
-
-/// Simulator / test double: survives as long as the object does.
-class MemoryEpochStore final : public EpochStore {
- public:
-  [[nodiscard]] uint64_t load() override { return epoch_; }
-  void store(uint64_t epoch) override {
-    if (epoch > epoch_) epoch_ = epoch;
-  }
-
- private:
-  uint64_t epoch_ = 0;
-};
-
-/// File-backed store: writes `path` atomically (temp file + fsync + rename +
-/// directory fsync — rename alone is not power-loss durable). A missing or
-/// unreadable/garbage file loads as 0 — the store must never stop a daemon
-/// from booting; it only raises the epoch floor when it can.
-///
-/// Implemented over storage::FileDisk + storage::DiskEpochStore (pimpl to
-/// keep the storage headers out of membership's public surface).
-class FileEpochStore final : public EpochStore {
- public:
-  explicit FileEpochStore(std::string path);
-  ~FileEpochStore() override;
-  [[nodiscard]] uint64_t load() override;
-  void store(uint64_t epoch) override;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace accelring::membership

@@ -1,11 +1,12 @@
-// membership::EpochStore over the storage::Disk layer.
+// membership::EpochStore over the storage::Disk layer: the only
+// implementation. A real daemon runs it over a FileDisk, the simulator over
+// each node's SimDisk.
 //
-// Same strict format as the original FileEpochStore (ASCII digits + '\n';
-// anything else loads as absent — the store only ever raises the epoch
-// floor, it must never stop a daemon from booting), but the write path now
-// goes through the full durability protocol: tmp → fsync → rename →
-// fsync_dir. The directory barrier is the fix this layer exists for —
-// rename alone is not power-loss durable.
+// Strict format: ASCII digits + '\n'; anything else (a torn prefix, an empty
+// file, garbage) loads as absent — the store only ever raises the epoch
+// floor, it must never stop a daemon from booting. The write path goes
+// through the full durability protocol: tmp → fsync → rename → fsync_dir.
+// The directory barrier matters: rename alone is not power-loss durable.
 #pragma once
 
 #include <string>

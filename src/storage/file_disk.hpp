@@ -1,7 +1,7 @@
 // The production Disk: a directory of real files with honest POSIX
 // durability — fsync() on data, fsync() of the directory fd for namespace
-// barriers (rename alone is not power-loss durable; that was the
-// FileEpochStore bug this layer fixes).
+// barriers (rename alone is not power-loss durable; a daemon's epoch file
+// written without the directory barrier could vanish in a power cut).
 #pragma once
 
 #include <string>

@@ -555,6 +555,70 @@ TEST(CampaignTest, MigrationSeedCorpusClean) {
 #endif
 }
 
+// The shrinker replays a failing schedule hundreds of times and trusts every
+// replay to reproduce the verdict: the same (schedule, seed) must give the
+// same run on every runner path — raw submits (with and without a gray
+// fault), client fleet, KV, durable KV, WAN, and live migration at K = 4.
+TEST(CampaignTest, RunsAreDeterministicOnEveryRunnerPath) {
+  const struct {
+    const char* scenario;
+    int rings;
+  } kPaths[] = {
+      {"mixed", 1},                  // raw submits, crash + restart
+      {"straggler_cpu", 1},          // raw submits, gray fault
+      {"overload", 1},               // client fleet
+      {"kv_lease_holder_crash", 1},  // KV service
+      {"kv_blackout_torn", 1},       // durable KV, storage faults
+      {"rack_power", 1},             // WAN topology, correlated crash
+      {"ring_add_under_load", 4},    // live migration
+  };
+  for (const auto& path : kPaths) {
+    RunOptions run = fast_run_options();
+    run.rings = path.rings;
+    const uint64_t seed = 5;
+    const Schedule schedule =
+        find_scenario(path.scenario)->make(seed, run.nodes, run.horizon);
+    const RunResult a = run_schedule(run, schedule, seed);
+    const RunResult b = run_schedule(run, schedule, seed);
+    SCOPED_TRACE(path.scenario);
+    EXPECT_GT(a.delivered, 0u);
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.quarantines, b.quarantines);
+    EXPECT_EQ(a.readmits, b.readmits);
+    EXPECT_EQ(a.false_ejections, b.false_ejections);
+    EXPECT_EQ(a.client_delivered, b.client_delivered);
+    EXPECT_EQ(a.report, b.report);
+  }
+}
+
+// Restarts cannot be judged at K > 1 yet (the MergedOracle has no catch-up
+// rule for a restarted node's gap). The fault applier must refuse them with
+// a violation instead of silently dropping them. The catalogue never gets
+// here: its restart scenarios are not multiring_safe.
+TEST(CampaignTest, RestartAtMultiRingFailsLoudly) {
+  RunOptions run = fast_run_options();
+  run.rings = 4;
+  for (const FaultKind kind : {FaultKind::kRestart, FaultKind::kRackRestore,
+                               FaultKind::kPowerRestoreAll}) {
+    FaultEvent down;
+    down.kind = FaultKind::kCrash;
+    down.at = util::msec(60);
+    down.node = 2;
+    FaultEvent up;
+    up.kind = kind;
+    up.at = util::msec(120);
+    up.node = 2;
+    up.group = {2};
+    const Schedule schedule{"hand_written", {down, up}};
+    const RunResult res = run_schedule(run, schedule, 3);
+    EXPECT_FALSE(res.ok) << fault_name(kind);
+    const std::string want =
+        std::string(fault_name(kind)) + " unsupported at rings=4";
+    EXPECT_NE(res.report.find(want), std::string::npos) << res.report;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Mutation: an injected merge-ordering bug must be caught by the oracles and
 // shrunk to a minimal (<= 5 event) reproducer.

@@ -13,7 +13,6 @@
 #include "check/oracle.hpp"
 #include "daemon/failover_client.hpp"
 #include "harness/cluster.hpp"
-#include "membership/epoch_store.hpp"
 #include "util/bytes.hpp"
 
 namespace accelring {
@@ -172,62 +171,6 @@ TEST(EpochStore, ColdRestartOfRingCreatorNeverReusesARingId) {
   }
   // The surviving "disk" recorded an epoch past the initial ring's.
   EXPECT_GT(cluster.epoch_store(0).load(), 1u);
-}
-
-TEST(FileEpochStore, PersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/accelring_epoch_test";
-  std::remove(path.c_str());
-  {
-    membership::FileEpochStore store(path);
-    EXPECT_EQ(store.load(), 0u);
-    store.store(7);
-    store.store(3);  // regressions are ignored
-  }
-  {
-    membership::FileEpochStore store(path);
-    EXPECT_EQ(store.load(), 7u);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileEpochStore, CorruptFileTreatedAsAbsentAndRecoverable) {
-  const std::string path = ::testing::TempDir() + "/accelring_epoch_corrupt";
-  const auto write_raw = [&](const char* bytes, size_t n) {
-    FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes, 1, n, f), n);
-    std::fclose(f);
-  };
-  // A torn prefix of a former "4567\n" must NOT load as 45: a silently
-  // lowered epoch floor is the stale-ring-id bug the store exists to close.
-  write_raw("45", 2);
-  {
-    membership::FileEpochStore store(path);
-    EXPECT_EQ(store.load(), 0u);
-  }
-  write_raw("not-a-number\n", 13);
-  {
-    membership::FileEpochStore store(path);
-    EXPECT_EQ(store.load(), 0u);
-  }
-  write_raw("", 0);
-  {
-    membership::FileEpochStore store(path);
-    EXPECT_EQ(store.load(), 0u);
-  }
-  // Round trip: a store that loaded a corrupt file re-mints and persists a
-  // fresh epoch, and the next incarnation reads it back cleanly.
-  write_raw("12garbage\n", 10);
-  {
-    membership::FileEpochStore store(path);
-    EXPECT_EQ(store.load(), 0u);
-    store.store(9);
-  }
-  {
-    membership::FileEpochStore store(path);
-    EXPECT_EQ(store.load(), 9u);
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,17 +1,17 @@
 // Storage layer unit tests: SimDisk crash/fault semantics (the simnet-style
 // deterministic disk), ReplicaStore WAL+checkpoint round-trips with
 // torn-write and bit-rot rejection, and the real-file backends (FileDisk,
-// FileEpochStore) against an actual temp directory.
+// DiskEpochStore over a FileDisk) against an actual temp directory.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#include "membership/epoch_store.hpp"
 #include "storage/epoch_store.hpp"
 #include "storage/file_disk.hpp"
 #include "storage/replica_store.hpp"
@@ -422,18 +422,43 @@ TEST(FileDiskTest, ReplicaStoreRunsUnchangedOnRealFiles) {
   EXPECT_EQ(str(r.commands[0]), "real-cmd");
 }
 
-TEST(FileEpochStoreTest, PersistsAcrossReopen) {
+// The daemon's epoch file: DiskEpochStore over a FileDisk, every load from a
+// freshly opened disk, the way a cold-restarted daemon reopens it.
+TEST(DiskEpochStoreTest, FileBackedPersistsAndTreatsCorruptFileAsAbsent) {
   TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
-  const std::string path = tmp.path() + "/epoch";
+  const auto reopen_load = [&] {
+    FileDisk disk(tmp.path());
+    return DiskEpochStore(disk, "epoch").load();
+  };
+  const auto write_raw = [&](const std::string& bytes) {
+    std::ofstream(tmp.path() + "/epoch", std::ios::binary) << bytes;
+  };
   {
-    membership::FileEpochStore store(path);
+    FileDisk disk(tmp.path());
+    DiskEpochStore store(disk, "epoch");
     EXPECT_EQ(store.load(), 0u);
-    store.store(41);
-    store.store(42);
+    store.store(7);
+    store.store(3);  // regressions are ignored
   }
-  membership::FileEpochStore reopened(path);
-  EXPECT_EQ(reopened.load(), 42u);
+  EXPECT_EQ(reopen_load(), 7u);
+
+  // A torn prefix of a former "4567\n" must NOT load as 45: a silently
+  // lowered epoch floor is the stale-ring-id bug the store exists to close.
+  for (const std::string corrupt : {"45", "", "not-a-number\n"}) {
+    write_raw(corrupt);
+    EXPECT_EQ(reopen_load(), 0u) << '"' << corrupt << '"';
+  }
+  // Round trip: a store that loaded a corrupt file re-mints and persists a
+  // fresh epoch, and the next incarnation reads it back cleanly.
+  write_raw("12garbage\n");
+  {
+    FileDisk disk(tmp.path());
+    DiskEpochStore store(disk, "epoch");
+    EXPECT_EQ(store.load(), 0u);
+    store.store(9);
+  }
+  EXPECT_EQ(reopen_load(), 9u);
 }
 
 TEST(DiskEpochStoreTest, CorruptFileLoadsAsAbsentAndMonotonicGuardHolds) {
