@@ -79,7 +79,9 @@ KvPoint run_kv_point(int shards, double base_rate, uint64_t sessions,
   // daemon fires — so merged throughput per ring is capped near
   // merge_batch / skip_interval (the default 16 / 500us ~= 32 kops/ring
   // saturates long before the rings do). Open the batch and tighten the
-  // skip period so the merge layer stays off the critical path.
+  // skip period so the merge layer stays off the critical path. At K = 1
+  // no skip daemon runs (a lone ring has no rotation to hold up), so
+  // neither knob matters there.
   mc.merge_batch = 64;
   mc.skip_interval = util::usec(100);
   mc.seed = seed;

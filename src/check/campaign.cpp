@@ -20,52 +20,44 @@
 namespace accelring::check {
 namespace {
 
-/// What one run's faults land on: a single SimCluster, or every ring of a
-/// RingSet. One machine hosts a node's engine in every ring, so every fault
-/// fans out over all of them: a network fault hits each cluster's fabric, a
-/// node fault hits that node in each cluster, and kMigrate goes to the
-/// RingSet. Lives on the runner's stack for the whole run; scheduled fault
-/// and expiry events point back at it.
+/// What one run's faults land on, and who hears of them: every ring of the
+/// run's RingSet (one machine hosts a node's engine in every ring, so a
+/// network fault hits each ring's fabric, a node fault hits that node in each
+/// ring, and kMigrate goes to the RingSet), plus the oracles and workload
+/// drivers it owns. Lives on the runner's stack for the whole run; scheduled
+/// fault and expiry events point back at it.
 struct FaultTarget {
-  explicit FaultTarget(harness::SimCluster& cluster) : clusters{&cluster} {}
-  explicit FaultTarget(multiring::RingSet& set) : rings(&set) {
-    for (int r = 0; r < set.num_rings(); ++r) clusters.push_back(&set.ring(r));
-  }
+  explicit FaultTarget(multiring::RingSet& set) : rings(set) {}
   FaultTarget(const FaultTarget&) = delete;  // scheduled events point at it
   FaultTarget& operator=(const FaultTarget&) = delete;
 
-  std::vector<harness::SimCluster*> clusters;
-  multiring::RingSet* rings = nullptr;  ///< set when K > 1
+  multiring::RingSet& rings;
   // Who else hears of a crash or restart (unset ones are skipped).
   // apply_fault calls them in one fixed order, which is part of the
   // determinism contract: the durability oracle snapshots a node's applied
   // versions before crash_node resolves its un-fsynced disk state, and every
   // other witness hears after the cluster did.
-  std::vector<ClusterOracle*> oracles;
-  ClientFleet* fleet = nullptr;
-  kv::KvService* service = nullptr;
-  KvOracle* kv_oracle = nullptr;
-  DurabilityOracle* durability = nullptr;
+  std::vector<std::unique_ptr<ClusterOracle>> oracles;  ///< one per ring
+  std::unique_ptr<ClientFleet> fleet;            ///< client workload
+  std::unique_ptr<kv::KvService> service;        ///< KV workloads
+  KvOracle kv_oracle;                            ///< judges `service`
+  std::unique_ptr<DurabilityOracle> durability;  ///< durable KV workload
   uint32_t token_drops_pending = 0;
   /// Faults this ring count cannot judge yet; each fails the run.
   std::vector<Violation> unsupported;
 
-  [[nodiscard]] simnet::EventQueue& eq() const {
-    return clusters.front()->eq();
-  }
-  [[nodiscard]] bool down(int node) const {
-    return clusters.front()->net().host_down(node);
-  }
-  [[nodiscard]] bool multi() const { return clusters.size() > 1; }
+  [[nodiscard]] simnet::EventQueue& eq() const { return rings.eq(); }
+  [[nodiscard]] bool down(int node) const { return rings.node_down(node); }
+  [[nodiscard]] bool multi() const { return rings.num_rings() > 1; }
   /// Flight-record name of `node` in ring `ring`.
-  [[nodiscard]] std::string node_name(size_t ring, int node) const {
+  [[nodiscard]] std::string node_name(int ring, int node) const {
     const std::string n = "node" + std::to_string(node);
     return multi() ? "ring" + std::to_string(ring) + "/" + n : n;
   }
-  /// `fn(cluster)` on every cluster: now, or once `delay` has passed.
+  /// `fn(ring)` on every ring: now, or once `delay` has passed.
   template <typename Fn>
   void each(Fn fn) const {
-    for (harness::SimCluster* c : clusters) fn(*c);
+    for (int r = 0; r < rings.num_rings(); ++r) fn(rings.ring(r));
   }
   template <typename Fn>
   void each_after(Nanos delay, Fn fn) {
@@ -105,17 +97,19 @@ void apply_fault(const FaultEvent& e, FaultTarget& t) {
     if (t.down(n)) return;
     if (t.durability != nullptr) t.durability->note_crash(n);
     t.each([n](auto& c) { c.crash_node(n); });
-    for (ClusterOracle* oracle : t.oracles) oracle->note_crash(n);
+    for (const auto& oracle : t.oracles) oracle->note_crash(n);
     if (t.fleet != nullptr) t.fleet->on_crash(n);
     if (t.service != nullptr) t.service->on_crash(n);
   };
   const auto restart = [&t](int n) {
     if (!t.down(n)) return false;
     t.each([n](auto& c) { c.restart_node(n); });
-    for (ClusterOracle* oracle : t.oracles) oracle->note_restart(n);
+    for (const auto& oracle : t.oracles) oracle->note_restart(n);
     if (t.fleet != nullptr) t.fleet->on_restart(n);
-    if (t.service != nullptr) t.service->on_restart(n);
-    if (t.kv_oracle != nullptr) t.kv_oracle->note_restart(n);
+    if (t.service != nullptr) {
+      t.service->on_restart(n);
+      t.kv_oracle.note_restart(n);
+    }
     if (t.durability != nullptr) t.durability->note_restart(n);
     return true;
   };
@@ -150,21 +144,21 @@ void apply_fault(const FaultEvent& e, FaultTarget& t) {
         // cannot excuse yet: refuse loudly rather than drop the event.
         t.unsupported.push_back(Violation{
             std::string(fault_name(e.kind)) + " unsupported at rings=" +
-            std::to_string(t.clusters.size())});
+            std::to_string(t.rings.num_rings())});
       } else if (e.kind == FaultKind::kRestart) {
         restart(e.node);
       } else if (e.kind == FaultKind::kRackRestore) {
         for (int n : e.group) restart(n);
       } else {
         bool any = false;
-        for (int n = 0; n < t.clusters.front()->size(); ++n) {
+        for (int n = 0; n < t.rings.nodes_per_ring(); ++n) {
           any = restart(n) || any;
         }
         // The whole cluster is back: judge what survived against the
         // committed history, then roll the KV oracle onto the revived
         // lineage. Skipped when the power loss was shrunk away.
         if (any && t.durability != nullptr) {
-          t.durability->note_cluster_recovery(t.kv_oracle);
+          t.durability->note_cluster_recovery(&t.kv_oracle);
         }
       }
       break;
@@ -218,7 +212,7 @@ void apply_fault(const FaultEvent& e, FaultTarget& t) {
       });
       break;
     case FaultKind::kPowerLossAll:
-      for (int n = 0; n < t.clusters.front()->size(); ++n) crash(n);
+      for (int n = 0; n < t.rings.nodes_per_ring(); ++n) crash(n);
       break;
     case FaultKind::kDiskDesync:
       t.each([&e](auto& c) {
@@ -248,15 +242,15 @@ void apply_fault(const FaultEvent& e, FaultTarget& t) {
       disk_unsafe("io stall");
       break;
     case FaultKind::kRingOffline:
-      // Construction-time hint, consumed by run_multi before the run.
+      // Construction-time hint, consumed by the runner before the run.
       break;
     case FaultKind::kMigrate:
       // Droppable: an empty plan (adding an active ring, removing the last
       // active one, moving a span onto itself) or a migration already in
       // flight is a no-op, and so is any migration at K = 1.
-      if (t.rings != nullptr && t.rings->migration_idle()) {
-        (void)t.rings->start_migration(
-            migration_plan(e, t.rings->shards(), t.rings->num_rings()));
+      if (t.multi() && t.rings.migration_idle()) {
+        (void)t.rings.start_migration(
+            migration_plan(e, t.rings.shards(), t.rings.num_rings()));
       }
       break;
   }
@@ -264,16 +258,16 @@ void apply_fault(const FaultEvent& e, FaultTarget& t) {
 
 /// Install the token-drop filter and schedule every event of `schedule`.
 void arm_faults(FaultTarget& t, const Schedule& schedule) {
-  for (harness::SimCluster* c : t.clusters) {
-    c->net().set_drop_filter([&t](int, int, simnet::SocketId sock,
-                                  const std::vector<std::byte>&) {
+  t.each([&t](harness::SimCluster& c) {
+    c.net().set_drop_filter([&t](int, int, simnet::SocketId sock,
+                                 const std::vector<std::byte>&) {
       if (sock != simnet::kTokenSocket || t.token_drops_pending == 0) {
         return false;
       }
       --t.token_drops_pending;
       return true;
     });
-  }
+  });
   for (const FaultEvent& e : schedule.events) {
     t.eq().schedule_after(e.at, [&t, e] { apply_fault(e, t); });
   }
@@ -309,7 +303,7 @@ void arm_heal(FaultTarget& t, Nanos horizon) {
 class EjectionAudit {
  public:
   EjectionAudit(const Schedule& schedule, FaultTarget& t) : t_(t) {
-    const simnet::Topology& topo = t.clusters.front()->net().topology();
+    const simnet::Topology& topo = t.rings.ring(0).net().topology();
     for (const FaultEvent& e : schedule.events) {
       const FaultKind k = e.kind;
       if (k == FaultKind::kPartition || k == FaultKind::kCrash ||
@@ -331,8 +325,8 @@ class EjectionAudit {
       }
     }
     if (churn_) return;
-    for (size_t r = 0; r < t.clusters.size(); ++r) {
-      harness::SimCluster& c = *t.clusters[r];
+    for (int r = 0; r < t.rings.num_rings(); ++r) {
+      harness::SimCluster& c = t.rings.ring(r);
       c.add_on_config([this, &c, r](int,
                                     const protocol::ConfigurationChange& ch) {
         if (ch.transitional) return;
@@ -357,8 +351,8 @@ class EjectionAudit {
     // exempt: membership churn there can hand the detector a legitimately
     // torn ring.
     if (churn_) return;
-    for (size_t r = 0; r < t_.clusters.size(); ++r) {
-      harness::SimCluster& c = *t_.clusters[r];
+    for (int r = 0; r < t_.rings.num_rings(); ++r) {
+      harness::SimCluster& c = t_.rings.ring(r);
       std::set<protocol::ProcessId> blamed;
       for (int n = 0; n < c.size(); ++n) {
         for (const protocol::ProcessId v : c.engine(n).quarantine_victims()) {
@@ -380,7 +374,7 @@ class EjectionAudit {
   const FaultTarget& t_;
   bool churn_ = false;
   std::set<int> degraded_;
-  std::set<std::pair<size_t, uint64_t>> ejected_;  ///< (ring, ring id)
+  std::set<std::pair<int, uint64_t>> ejected_;  ///< (ring, ring id)
 };
 
 /// Fold one oracle's verdict into the run's.
@@ -390,18 +384,13 @@ void fold(RunResult& res, bool ok, const std::vector<Violation>& violations) {
                         violations.end());
 }
 
-/// What every run ends with: the cluster counters, the ejection audit, the
-/// faults this K could not apply, the joined report, and — for a failing run
-/// with artifacts on — the flight record: violations, each node's recent
-/// trace, the disks' injected storage faults, and a metric snapshot.
+/// What every run ends with: the ejection audit, the faults this K could not
+/// apply, the joined report, and — for a failing run with artifacts on — the
+/// flight record: violations, each node's recent trace, the disks' injected
+/// storage faults, and a metric snapshot.
 RunResult finish_run(RunResult res, const FaultTarget& t,
                      const EjectionAudit& audit, const RunOptions& opt,
                      const Schedule& schedule, uint64_t seed) {
-  t.each([&res](harness::SimCluster& c) {
-    const harness::ClusterStats stats = c.stats();
-    res.quarantines += stats.quarantines();
-    res.readmits += stats.readmits();
-  });
   audit.judge(res);
   for (const Violation& v : t.unsupported) {
     res.ok = false;
@@ -410,16 +399,14 @@ RunResult finish_run(RunResult res, const FaultTarget& t,
   res.report = join_reports({&res.violations});
   if (res.ok || opt.artifact_dir.empty()) return res;
 
-  const obs::MetricsRegistry metrics =
-      t.rings != nullptr ? t.rings->merged_metrics()
-                         : t.clusters.front()->merged_metrics();
+  const obs::MetricsRegistry metrics = t.rings.merged_metrics();
   obs::FlightRecord record;
   record.scenario = schedule.scenario;
   record.seed = seed;
   record.captured_at = t.eq().now();
   for (const Violation& v : res.violations) record.violations.push_back(v.what);
-  for (size_t r = 0; r < t.clusters.size(); ++r) {
-    harness::SimCluster& c = *t.clusters[r];
+  for (int r = 0; r < t.rings.num_rings(); ++r) {
+    harness::SimCluster& c = t.rings.ring(r);
     for (int n = 0; n < c.size(); ++n) {
       // What each disk actually did to the data (desync windows, torn-write
       // resolutions, bit flips, ENOSPC) is what a durability failure
@@ -438,212 +425,6 @@ RunResult finish_run(RunResult res, const FaultTarget& t,
   return res;
 }
 
-simnet::Topology campaign_topology(const Scenario* sc, int nodes) {
-  return sc != nullptr && sc->wan ? campaign_wan_topology(nodes)
-                                  : simnet::Topology::single_dc(nodes);
-}
-
-protocol::Service pick_service(uint32_t index) {
-  // Mostly Agreed with a steady trickle of Safe, so both delivery paths and
-  // both sides of the safe line are exercised under faults.
-  return index % 5 == 0 ? protocol::Service::kSafe : protocol::Service::kAgreed;
-}
-
-/// A workload payload stamped with its submitter, index, and submit time.
-std::vector<std::byte> stamped_payload(const RunOptions& opt, Nanos now,
-                                       int node, uint32_t index) {
-  harness::PayloadStamp stamp;
-  stamp.inject_time = now;
-  stamp.sender = static_cast<uint32_t>(node);
-  stamp.index = index;
-  return harness::make_payload(opt.payload_size, stamp);
-}
-
-/// Schedule the per-node workload chains on `eq`. `submit` is called with
-/// (node, index) at each firing; indices are unique per node.
-template <typename SubmitFn>
-void arm_workload(simnet::EventQueue& eq, const RunOptions& opt,
-                  SubmitFn submit) {
-  const int64_t shots = opt.horizon / opt.submit_interval;
-  for (int node = 0; node < opt.nodes; ++node) {
-    // Phase-shift nodes so submissions do not synchronize.
-    const Nanos phase =
-        opt.submit_interval * node / std::max(opt.nodes, 1);
-    for (int64_t k = 0; k < shots; ++k) {
-      const Nanos at = opt.submit_interval * k + phase + util::usec(50);
-      eq.schedule_after(at, [submit, node, k] {
-        submit(node, static_cast<uint32_t>(k));
-      });
-    }
-  }
-}
-
-/// Raw-submit or client-level run on a single cluster.
-RunResult run_single(const RunOptions& opt, const Schedule& schedule,
-                     uint64_t seed) {
-  const Scenario* sc = find_scenario(schedule.scenario);
-  const bool with_clients = sc != nullptr && sc->client_level;
-  RunOptions ropt = opt;
-  if (with_clients) {
-    // A client run must be able to overload its daemons within one burst:
-    // clamp the engine queue so sends actually cross the high-water line.
-    ropt.proto.max_pending = std::min<size_t>(ropt.proto.max_pending, 384);
-  }
-  harness::SimCluster cluster(campaign_topology(sc, ropt.nodes), ropt.fabric,
-                              ropt.proto, ropt.profile, seed);
-  // Metrics ride along only when a failure would dump them: recording is
-  // perturbation-free (obs_determinism_test), so the verdict is unaffected,
-  // and passing runs skip the registry allocations.
-  if (!ropt.artifact_dir.empty()) cluster.enable_metrics();
-  ClusterOracle oracle(ropt.nodes);
-  oracle.attach(cluster);
-  FaultTarget faults(cluster);
-  faults.oracles = {&oracle};
-  const EjectionAudit audit(schedule, faults);
-
-  std::unique_ptr<ClientFleet> fleet;
-  if (with_clients) {
-    FleetOptions fopt;
-    fopt.daemon.session_queue_limit = 48;
-    fopt.seed = seed;
-    fleet = std::make_unique<ClientFleet>(cluster, fopt);
-    faults.fleet = fleet.get();
-  }
-
-  cluster.start_static();
-  arm_faults(faults, schedule);
-  if (fleet) {
-    fleet->start(ropt.horizon);
-  } else {
-    arm_workload(cluster.eq(), ropt,
-                 [&cluster, &oracle, &ropt](int node, uint32_t index) {
-      if (cluster.net().host_down(node)) return;
-      oracle.note_submit(node, index);
-      cluster.submit(node, pick_service(index),
-                     stamped_payload(ropt, cluster.eq().now(), node, index));
-    });
-  }
-  arm_heal(faults, ropt.horizon);
-  cluster.run_until(ropt.horizon + ropt.drain);
-
-  const harness::ClusterStats stats = cluster.stats();
-  oracle.finalize(&stats);
-  RunResult res;
-  res.ok = true;
-  fold(res, oracle.ok(), oracle.violations());
-  res.delivered = oracle.observed();
-  if (fleet) {
-    const FleetReport fr = fleet->finalize();
-    fold(res, fr.ok, fr.violations);
-    res.client_delivered = fr.delivered;
-  }
-  return finish_run(std::move(res), faults, audit, ropt, schedule, seed);
-}
-
-/// KV-level run: a full KvService + SessionWorkload + KvOracle on a single
-/// cluster, with the ClusterOracle still watching the protocol underneath.
-/// The workload keeps issuing through the drain's first half, so reads and
-/// leases are exercised across the heal.
-RunResult run_kv(const RunOptions& opt, const Schedule& schedule,
-                 uint64_t seed) {
-  const Scenario* sc = find_scenario(schedule.scenario);
-  const bool durable = sc != nullptr && sc->durable;
-  harness::SimCluster cluster(campaign_topology(sc, opt.nodes), opt.fabric,
-                              opt.proto, opt.profile, seed);
-  if (!opt.artifact_dir.empty()) cluster.enable_metrics();
-  ClusterOracle oracle(opt.nodes);
-  oracle.attach(cluster);
-  FaultTarget faults(cluster);
-  faults.oracles = {&oracle};
-  const EjectionAudit audit(schedule, faults);
-
-  kv::ServiceConfig scfg;
-  scfg.shards = 1;
-  scfg.preload_keys = 0;  // the KvOracle needs a fully observed history
-  if (durable) {
-    // Every (node, shard) replica persists to the node's SimDisk. The file
-    // prefix starts with "shard" so kDiskBitRot (which targets that prefix)
-    // corrupts WAL/checkpoint files but never the epoch file beside them.
-    scfg.store_factory = [&cluster](int node, int shard) {
-      return std::make_unique<storage::ReplicaStore>(
-          cluster.disk(node), "shard" + std::to_string(shard));
-    };
-  }
-  kv::KvService service(cluster, scfg);
-  if (!opt.artifact_dir.empty()) service.bind_metrics();
-  KvOracle kv_oracle;
-  DurabilityOracle dur_oracle;
-  faults.service = &service;
-  faults.kv_oracle = &kv_oracle;
-  if (durable) {
-    faults.durability = &dur_oracle;
-    // One set of service observers fans out to both oracles (the KvOracle
-    // first, so mutation history is recorded before durability bookkeeping
-    // reads the same event).
-    kv_oracle.bind(service);
-    dur_oracle.bind(service);
-    service.set_on_applied([&kv_oracle, &dur_oracle](
-                               int node, int shard,
-                               const kv::AppliedOp& applied, Nanos at) {
-      kv_oracle.on_applied(node, shard, applied, at);
-      dur_oracle.on_applied(node, shard, applied, at);
-    });
-    service.set_on_lease_grant(
-        [&kv_oracle](int node, int shard, const kv::LeaseId& id, Nanos at) {
-          kv_oracle.on_lease_grant(node, shard, id, at);
-        });
-    service.set_on_outcome(
-        [&kv_oracle, &dur_oracle](int node,
-                                  const kv::Frontend::Outcome& outcome) {
-          kv_oracle.on_outcome(node, outcome);
-          dur_oracle.on_outcome(node, outcome);
-        });
-  } else {
-    kv_oracle.attach(service);
-  }
-
-  kv::WorkloadConfig wcfg;
-  wcfg.sessions = 64;
-  wcfg.keys = 128;
-  wcfg.zipf_s = 0.9;
-  wcfg.read_fraction = 0.7;  // write-heavy vs the bench: more history churn
-  wcfg.value_size = opt.payload_size;
-  wcfg.base_rate = 4000;
-  wcfg.peak_factor = 1.5;
-  wcfg.period = opt.horizon;
-  wcfg.start = util::msec(5);
-  wcfg.stop = opt.horizon + opt.drain / 2;
-  wcfg.churn_per_sec = 20;
-  wcfg.op_timeout = util::msec(30);
-  // WAN: a quorum round-trip crosses 3 ms links, and a rack-power view
-  // change takes several WAN token rotations — give ops headroom to retry
-  // past it instead of timing out spuriously.
-  if (sc != nullptr && sc->wan) wcfg.op_timeout = util::msec(80);
-  wcfg.measure_from = 0;
-  wcfg.seed = seed;
-  kv::SessionWorkload workload(service, wcfg);
-
-  cluster.start_static();
-  workload.start();
-  arm_faults(faults, schedule);
-  arm_heal(faults, opt.horizon);
-  cluster.run_until(opt.horizon + opt.drain);
-
-  const harness::ClusterStats stats = cluster.stats();
-  oracle.finalize(&stats);
-  kv_oracle.finalize();
-  if (durable) dur_oracle.finalize();
-
-  RunResult res;
-  res.ok = true;
-  fold(res, oracle.ok(), oracle.violations());
-  fold(res, kv_oracle.ok(), kv_oracle.violations());
-  if (durable) fold(res, dur_oracle.ok(), dur_oracle.violations());
-  res.delivered = oracle.observed();
-  res.client_delivered = workload.stats().completed;
-  return finish_run(std::move(res), faults, audit, opt, schedule, seed);
-}
-
 /// The migration campaigns' keyed workload: a small universe of shared
 /// stream ids (so every key sees many messages from many submitters across
 /// a handoff), uniform by default, triangular-skewed toward key 0 for the
@@ -658,137 +439,47 @@ uint64_t keyed_stream_id(bool zipf, int node, uint32_t index) {
   return std::min(h % kKeyUniverse, (h >> 32) % kKeyUniverse);
 }
 
-/// K > 1 run: a RingSet with a ClusterOracle per ring and the MergedOracle
-/// over every node's merged stream.
-RunResult run_multi(const RunOptions& opt, const Schedule& schedule,
-                    uint64_t seed) {
-  const Scenario* msc = find_scenario(schedule.scenario);
-  const bool migration = msc != nullptr && msc->migration;
-  const bool zipf = msc != nullptr && msc->zipf_keys;
-  multiring::MultiRingConfig mcfg;
-  if (msc != nullptr && msc->wan) mcfg.topology = campaign_wan_topology(opt.nodes);
-  mcfg.rings = opt.rings;
-  mcfg.nodes_per_ring = opt.nodes;
-  mcfg.fabric = opt.fabric;
-  mcfg.proto = opt.proto;
-  mcfg.profile = opt.profile;
-  mcfg.merge_batch = opt.merge_batch;
-  mcfg.skip_interval = opt.skip_interval;
-  mcfg.seed = seed;
-  // A kRingOffline event is a construction-time hint: the last ring starts
-  // owning no hash space (its skip daemon still keeps the merge rotating)
-  // until a kMigrate add brings it in.
-  for (const FaultEvent& e : schedule.events) {
-    if (e.kind == FaultKind::kRingOffline) {
-      mcfg.active_rings = std::max(1, opt.rings - 1);
+/// Schedule every node's submit chain, each payload stamped with its
+/// submitter, index (unique per node) and submit time. Raw submits go
+/// round-robin over the rings, each noted with its ring's ClusterOracle.
+/// Keyed submits go through the per-node ShardRouters: the router (not the
+/// caller) picks the ring, holding moving keys across each handoff, so the
+/// per-ring self-delivery bookkeeping does not apply — the MergedOracle's
+/// handoff audit owns the continuity obligations.
+void arm_workload(FaultTarget& t, const RunOptions& opt, bool keyed,
+                  bool zipf) {
+  const int64_t shots = opt.horizon / opt.submit_interval;
+  for (int node = 0; node < opt.nodes; ++node) {
+    // Phase-shift nodes so submissions do not synchronize.
+    const Nanos phase =
+        opt.submit_interval * node / std::max(opt.nodes, 1);
+    for (int64_t k = 0; k < shots; ++k) {
+      const Nanos at = opt.submit_interval * k + phase + util::usec(50);
+      const auto index = static_cast<uint32_t>(k);
+      t.eq().schedule_after(at, [&t, &opt, keyed, zipf, node, index] {
+        if (t.down(node)) return;
+        harness::PayloadStamp stamp;
+        stamp.inject_time = t.eq().now();
+        stamp.sender = static_cast<uint32_t>(node);
+        stamp.index = index;
+        std::vector<std::byte> payload =
+            harness::make_payload(opt.payload_size, stamp);
+        // Mostly Agreed with a steady trickle of Safe, so both delivery
+        // paths and both sides of the safe line are exercised under faults.
+        const protocol::Service service = index % 5 == 0
+                                              ? protocol::Service::kSafe
+                                              : protocol::Service::kAgreed;
+        if (keyed) {
+          t.rings.submit_keyed(node, keyed_stream_id(zipf, node, index),
+                               service, std::move(payload));
+          return;
+        }
+        const int ring = static_cast<int>(index) % opt.rings;
+        t.oracles[static_cast<size_t>(ring)]->note_submit(node, index);
+        t.rings.submit(node, ring, service, std::move(payload));
+      });
     }
   }
-  multiring::RingSet rings(mcfg);
-  if (opt.inject_handoff_bug) rings.inject_stale_flush(1);
-  // Same contract as run_single: metrics only feed the flight recorder.
-  if (!opt.artifact_dir.empty()) rings.enable_metrics();
-
-  FaultTarget faults(rings);
-  std::vector<std::unique_ptr<ClusterOracle>> oracles;
-  for (int r = 0; r < opt.rings; ++r) {
-    oracles.push_back(std::make_unique<ClusterOracle>(
-        opt.nodes, "ring " + std::to_string(r)));
-    oracles.back()->attach(rings.ring(r));
-    faults.oracles.push_back(oracles.back().get());
-  }
-  const EjectionAudit audit(schedule, faults);
-
-  MergedOracle merged(opt.nodes);
-  if (opt.inject_merge_bug) {
-    // Mutation: swap adjacent pairs of node 1's merged stream before the
-    // oracle sees them — a deliberate total-order bug the oracles must
-    // catch (and the shrinker must reduce).
-    auto held = std::make_shared<
-        std::optional<std::pair<int, protocol::Delivery>>>();
-    rings.add_on_merged([&merged, held](int node, int ring,
-                                        const protocol::Delivery& d, Nanos) {
-      if (node != 1) {
-        merged.on_merged(node, ring, d);
-        return;
-      }
-      if (!held->has_value()) {
-        *held = std::make_pair(ring, d);
-        return;
-      }
-      merged.on_merged(node, ring, d);
-      merged.on_merged(node, (*held)->first, (*held)->second);
-      held->reset();
-    });
-  } else {
-    merged.attach(rings);
-  }
-  if (migration) {
-    // Handoff audit: recompute each delivery's routing key from the payload
-    // stamp (submit_keyed mixes the raw stream id before the arc lookup, so
-    // the oracle mixes identically).
-    merged.enable_handoff_audit(
-        [zipf](const protocol::Delivery& d)
-            -> std::optional<MergedOracle::KeyedPayload> {
-          harness::PayloadStamp stamp;
-          if (!harness::parse_payload(d.payload, stamp)) return std::nullopt;
-          MergedOracle::KeyedPayload kp;
-          kp.key = multiring::mix64(keyed_stream_id(
-              zipf, static_cast<int>(stamp.sender), stamp.index));
-          kp.submitter = stamp.sender;
-          kp.index = stamp.index;
-          return kp;
-        });
-  }
-
-  rings.start_static();
-  arm_faults(faults, schedule);
-  if (migration) {
-    // Keyed workload through the per-node ShardRouters: the router (not the
-    // caller) picks the ring, holding moving keys across each handoff, so
-    // the per-ring self-delivery bookkeeping does not apply here — the
-    // MergedOracle's handoff audit owns the continuity obligations.
-    arm_workload(rings.eq(), opt,
-                 [&rings, &opt, zipf](int node, uint32_t index) {
-      if (rings.node_down(node)) return;
-      rings.submit_keyed(node, keyed_stream_id(zipf, node, index),
-                         pick_service(index),
-                         stamped_payload(opt, rings.eq().now(), node, index));
-    });
-  } else {
-    arm_workload(rings.eq(), opt,
-                 [&rings, &oracles, &opt](int node, uint32_t index) {
-      if (rings.node_down(node)) return;
-      const int ring = static_cast<int>(index) % opt.rings;
-      oracles[static_cast<size_t>(ring)]->note_submit(node, index);
-      rings.submit(node, ring, pick_service(index),
-                   stamped_payload(opt, rings.eq().now(), node, index));
-    });
-  }
-  arm_heal(faults, opt.horizon);
-  rings.run_until(opt.horizon + opt.drain);
-
-  RunResult res;
-  res.ok = true;
-  for (int r = 0; r < opt.rings; ++r) {
-    ClusterOracle& oracle = *oracles[static_cast<size_t>(r)];
-    const harness::ClusterStats stats = rings.ring(r).stats();
-    oracle.finalize(&stats);
-    fold(res, oracle.ok(), oracle.violations());
-    res.delivered += oracle.observed();
-  }
-  merged.finalize();
-  fold(res, merged.ok(), merged.violations());
-  // Handoff liveness: once the last migration completed (controller idle),
-  // every held keyed submission must have flushed to its destination. A
-  // migration still in flight at the end of the drain (e.g. started during
-  // an unhealed partition after shrinking) legitimately keeps its holds.
-  if (migration && rings.migration_idle() && rings.held_messages() != 0) {
-    res.ok = false;
-    res.violations.push_back(Violation{
-        "migration completed but " + std::to_string(rings.held_messages()) +
-        " keyed message(s) still held un-flushed"});
-  }
-  return finish_run(std::move(res), faults, audit, opt, schedule, seed);
 }
 
 }  // namespace
@@ -822,21 +513,246 @@ protocol::ProtocolConfig wan_proto_config() {
   return cfg;
 }
 
-RunResult run_schedule(const RunOptions& opt, const Schedule& schedule,
+RunResult run_schedule(const RunOptions& base, const Schedule& schedule,
                        uint64_t seed) {
   const Scenario* sc = find_scenario(schedule.scenario);
-  RunOptions ropt = opt;
-  if (sc != nullptr && sc->wan) {
+  const Workload workload = sc != nullptr ? sc->workload : Workload::kRaw;
+  const bool wan = sc != nullptr && sc->wan;
+  const bool multi = base.rings > 1;
+  const bool kv = workload == Workload::kKv || workload == Workload::kDurableKv;
+  const bool durable = workload == Workload::kDurableKv;
+  if (multi && (kv || workload == Workload::kClients)) {
+    // The client fleet and the KV stack run on one ring only. Refuse rather
+    // than fall back to raw submits, where a kOverload would do nothing.
+    RunResult res;
+    res.violations.push_back(Violation{
+        std::string(kv ? "kv" : "client") + " workload unsupported at rings=" +
+        std::to_string(base.rings)});
+    res.report = join_reports({&res.violations});
+    return res;
+  }
+  // At K = 1 there is nothing to migrate between: a migration scenario runs
+  // raw submits there, which keep the per-ring self-delivery check.
+  const bool keyed = multi && sc != nullptr && sc->migration();
+  const bool zipf = workload == Workload::kMigrationZipf;
+  RunOptions opt = base;
+  if (wan) {
     // WAN scenarios swap in the rescaled timeouts and give the drain room
     // for a post-heal view change over 3 ms links. Callers that already ask
     // for a longer drain keep theirs.
-    ropt.proto = wan_proto_config();
-    ropt.drain = std::max<Nanos>(ropt.drain, util::msec(450));
+    opt.proto = wan_proto_config();
+    opt.drain = std::max<Nanos>(opt.drain, util::msec(450));
   }
-  if (ropt.rings > 1) return run_multi(ropt, schedule, seed);
-  if (sc != nullptr && sc->kv_level) return run_kv(ropt, schedule, seed);
-  return run_single(ropt, schedule, seed);
+
+  multiring::MultiRingConfig mcfg;
+  if (wan) mcfg.topology = campaign_wan_topology(opt.nodes);
+  mcfg.rings = opt.rings;
+  mcfg.nodes_per_ring = opt.nodes;
+  mcfg.fabric = opt.fabric;
+  mcfg.proto = opt.proto;
+  if (workload == Workload::kClients) {
+    // A client run must be able to overload its daemons within one burst:
+    // clamp the engine queue so sends actually cross the high-water line.
+    mcfg.proto.max_pending = std::min<size_t>(mcfg.proto.max_pending, 384);
+  }
+  mcfg.profile = opt.profile;
+  mcfg.merge_batch = opt.merge_batch;
+  mcfg.skip_interval = opt.skip_interval;
+  mcfg.seed = seed;
+  // A kRingOffline event is a construction-time hint: the last ring starts
+  // owning no hash space (its skip daemon still keeps the merge rotating)
+  // until a kMigrate add brings it in.
+  for (const FaultEvent& e : schedule.events) {
+    if (e.kind == FaultKind::kRingOffline) {
+      mcfg.active_rings = std::max(1, opt.rings - 1);
+    }
+  }
+  multiring::RingSet rings(mcfg);
+  if (opt.inject_handoff_bug) rings.inject_stale_flush(1);
+  // Metrics ride along only when a failure would dump them: recording is
+  // perturbation-free (obs_determinism_test), so the verdict is unaffected,
+  // and passing runs skip the registry allocations.
+  if (!opt.artifact_dir.empty()) rings.enable_metrics();
+
+  FaultTarget faults(rings);
+  for (int r = 0; r < opt.rings; ++r) {
+    faults.oracles.push_back(std::make_unique<ClusterOracle>(
+        opt.nodes, multi ? "ring " + std::to_string(r) : ""));
+    faults.oracles.back()->attach(rings.ring(r));
+  }
+  const EjectionAudit audit(schedule, faults);
+
+  std::optional<MergedOracle> merged;
+  if (multi) {
+    merged.emplace(opt.nodes);
+    if (opt.inject_merge_bug) {
+      // Mutation: swap adjacent pairs of node 1's merged stream before the
+      // oracle sees them — a deliberate total-order bug the oracles must
+      // catch (and the shrinker must reduce).
+      auto held = std::make_shared<
+          std::optional<std::pair<int, protocol::Delivery>>>();
+      rings.add_on_merged([&merged, held](int node, int ring,
+                                          const protocol::Delivery& d, Nanos) {
+        if (node != 1) {
+          merged->on_merged(node, ring, d);
+          return;
+        }
+        if (!held->has_value()) {
+          *held = std::make_pair(ring, d);
+          return;
+        }
+        merged->on_merged(node, ring, d);
+        merged->on_merged(node, (*held)->first, (*held)->second);
+        held->reset();
+      });
+    } else {
+      merged->attach(rings);
+    }
+  }
+  if (keyed) {
+    // Handoff audit: recompute each delivery's routing key from the payload
+    // stamp (submit_keyed mixes the raw stream id before the arc lookup, so
+    // the oracle mixes identically).
+    merged->enable_handoff_audit(
+        [zipf](const protocol::Delivery& d)
+            -> std::optional<MergedOracle::KeyedPayload> {
+          harness::PayloadStamp stamp;
+          if (!harness::parse_payload(d.payload, stamp)) return std::nullopt;
+          MergedOracle::KeyedPayload kp;
+          kp.key = multiring::mix64(keyed_stream_id(
+              zipf, static_cast<int>(stamp.sender), stamp.index));
+          kp.submitter = stamp.sender;
+          kp.index = stamp.index;
+          return kp;
+        });
+  }
+
+  if (workload == Workload::kClients) {
+    FleetOptions fopt;
+    fopt.daemon.session_queue_limit = 48;
+    fopt.seed = seed;
+    faults.fleet = std::make_unique<ClientFleet>(rings.ring(0), fopt);
+  }
+
+  std::unique_ptr<kv::SessionWorkload> sessions;
+  if (kv) {
+    // One shard, no preload: the KvOracle needs a fully observed history.
+    kv::ServiceConfig scfg;
+    if (durable) {
+      // Every (node, shard) replica persists to the node's SimDisk. The file
+      // prefix starts with "shard" so kDiskBitRot (which targets that
+      // prefix) corrupts WAL/checkpoint files but never the epoch file
+      // beside them.
+      scfg.store_factory = [&rings](int node, int shard) {
+        return std::make_unique<storage::ReplicaStore>(
+            rings.ring(0).disk(node), "shard" + std::to_string(shard));
+      };
+    }
+    faults.service = std::make_unique<kv::KvService>(rings, scfg);
+    kv::KvService& service = *faults.service;
+    if (!opt.artifact_dir.empty()) service.bind_metrics();
+    KvOracle& kv_oracle = faults.kv_oracle;
+    kv_oracle.bind(service);
+    if (durable) {
+      faults.durability = std::make_unique<DurabilityOracle>();
+      faults.durability->bind(service);
+    }
+    // One set of service observers fans out to both oracles (the KvOracle
+    // first, so mutation history is recorded before durability bookkeeping
+    // reads the same event).
+    DurabilityOracle* const dur = faults.durability.get();
+    service.set_on_applied([&kv_oracle, dur](int node, int shard,
+                                              const kv::AppliedOp& applied,
+                                              Nanos at) {
+      kv_oracle.on_applied(node, shard, applied, at);
+      if (dur != nullptr) dur->on_applied(node, shard, applied, at);
+    });
+    service.set_on_lease_grant(
+        [&kv_oracle](int node, int shard, const kv::LeaseId& id, Nanos at) {
+          kv_oracle.on_lease_grant(node, shard, id, at);
+        });
+    service.set_on_outcome(
+        [&kv_oracle, dur](int node, const kv::Frontend::Outcome& outcome) {
+          kv_oracle.on_outcome(node, outcome);
+          if (dur != nullptr) dur->on_outcome(node, outcome);
+        });
+    // Write-heavy next to the bench, so the oracle sees more history churn,
+    // and issuing through the drain's first half, so reads and leases are
+    // exercised across the heal.
+    kv::WorkloadConfig wcfg;
+    wcfg.sessions = 64;
+    wcfg.keys = 128;
+    wcfg.zipf_s = 0.9;
+    wcfg.read_fraction = 0.7;
+    wcfg.value_size = opt.payload_size;
+    wcfg.base_rate = 4000;
+    wcfg.peak_factor = 1.5;
+    wcfg.period = opt.horizon;
+    wcfg.start = util::msec(5);
+    wcfg.stop = opt.horizon + opt.drain / 2;
+    wcfg.churn_per_sec = 20;
+    // WAN: a quorum round-trip crosses 3 ms links, and a rack-power view
+    // change takes several WAN token rotations — give ops headroom to retry
+    // past it instead of timing out spuriously.
+    wcfg.op_timeout = wan ? util::msec(80) : util::msec(30);
+    wcfg.measure_from = 0;
+    wcfg.seed = seed;
+    sessions = std::make_unique<kv::SessionWorkload>(service, wcfg);
+  }
+
+  rings.start_static();
+  if (sessions) sessions->start();
+  arm_faults(faults, schedule);
+  if (faults.fleet) {
+    faults.fleet->start(opt.horizon);
+  } else if (!kv) {
+    arm_workload(faults, opt, keyed, zipf);
+  }
+  arm_heal(faults, opt.horizon);
+  rings.run_until(opt.horizon + opt.drain);
+
+  RunResult res;
+  res.ok = true;
+  for (int r = 0; r < opt.rings; ++r) {
+    ClusterOracle& oracle = *faults.oracles[static_cast<size_t>(r)];
+    const harness::ClusterStats stats = rings.ring(r).stats();
+    oracle.finalize(&stats);
+    fold(res, oracle.ok(), oracle.violations());
+    res.delivered += oracle.observed();
+    res.quarantines += stats.quarantines();
+    res.readmits += stats.readmits();
+  }
+  if (merged) {
+    merged->finalize();
+    fold(res, merged->ok(), merged->violations());
+  }
+  if (faults.fleet) {
+    const FleetReport fr = faults.fleet->finalize();
+    fold(res, fr.ok, fr.violations);
+    res.client_delivered = fr.delivered;
+  }
+  if (faults.service) {
+    faults.kv_oracle.finalize();
+    fold(res, faults.kv_oracle.ok(), faults.kv_oracle.violations());
+    if (faults.durability) {
+      faults.durability->finalize();
+      fold(res, faults.durability->ok(), faults.durability->violations());
+    }
+    res.client_delivered = sessions->stats().completed;
+  }
+  // Handoff liveness: once the last migration completed (controller idle),
+  // every held keyed submission must have flushed to its destination. A
+  // migration still in flight at the end of the drain (e.g. started during
+  // an unhealed partition after shrinking) legitimately keeps its holds.
+  if (keyed && rings.migration_idle() && rings.held_messages() != 0) {
+    res.ok = false;
+    res.violations.push_back(Violation{
+        "migration completed but " + std::to_string(rings.held_messages()) +
+        " keyed message(s) still held un-flushed"});
+  }
+  return finish_run(std::move(res), faults, audit, opt, schedule, seed);
 }
+
 
 Schedule shrink(const RunOptions& opt, const Schedule& schedule,
                 uint64_t seed) {
@@ -871,7 +787,7 @@ CampaignResult run_campaign(const CampaignOptions& opt) {
     }
     if (opt.run.rings > 1 && !sc.multiring_safe) continue;
     // Migration scenarios need a ring set to migrate between.
-    if (opt.run.rings <= 1 && sc.migration) continue;
+    if (opt.run.rings <= 1 && sc.migration()) continue;
 
     std::vector<uint64_t> seeds;
     for (int i = 0; i < opt.seeds_per_scenario; ++i) {
@@ -891,6 +807,7 @@ CampaignResult run_campaign(const CampaignOptions& opt) {
       const RunResult run = run_schedule(opt.run, schedule, seed);
       ++result.runs;
       result.delivered += run.delivered;
+      result.client_delivered += run.client_delivered;
       result.false_ejections += run.false_ejections;
       result.quarantines += run.quarantines;
       result.readmits += run.readmits;
@@ -927,9 +844,12 @@ CampaignResult run_campaign(const CampaignOptions& opt) {
       std::fprintf(
           stderr,
           "campaign scenario=%-31s rings=%d runs=%d delivered=%llu "
-          "quarantines=%llu readmits=%llu false_ejections=%llu %s\n",
+          "client_delivered=%llu quarantines=%llu readmits=%llu "
+          "false_ejections=%llu %s\n",
           sc.name, opt.run.rings, result.runs - before.runs,
           static_cast<unsigned long long>(result.delivered - before.delivered),
+          static_cast<unsigned long long>(result.client_delivered -
+                                          before.client_delivered),
           static_cast<unsigned long long>(result.quarantines -
                                           before.quarantines),
           static_cast<unsigned long long>(result.readmits - before.readmits),

@@ -1,14 +1,23 @@
 // Fault-injection campaign runner.
 //
-// run_schedule() drives one seeded simulation — a SimCluster, or a RingSet
-// when rings > 1 — under a fault Schedule with the safety oracles attached,
-// heals every fault at the horizon, drains, and returns the oracle verdict.
-// Its runners (raw or client-level, KV, multi-ring) differ only in workload
-// driver and extra oracles; one fault applier serves them all, fanning each
-// event out over every ring (one machine hosts a node's engine in each), and
-// one audit, heal and flight recorder close every run. Restarts cannot be
-// judged at rings > 1 yet, so a restart event there fails the run with a
-// violation rather than being dropped.
+// run_schedule() drives one seeded simulation under a fault Schedule with
+// the safety oracles attached, heals every fault at the horizon, drains, and
+// returns the oracle verdict. There is one runner: every run is a
+// multiring::RingSet of `rings` rings, and rings = 1 is the single cluster
+// (one ring and no skip daemon, so its merged stream is the ring's own
+// delivery stream and the run replays a bare SimCluster event for event).
+// Every ring gets a ClusterOracle; at rings > 1 the MergedOracle judges every
+// node's merged stream on top. The scenario's Workload picks the driver:
+// raw submits, a client fleet, the KV stack with its KV and durability
+// oracles, or the keyed migration workload. The client and KV workloads run
+// on one ring only; at rings > 1 the run is refused with a violation
+// ("kv workload unsupported at rings=K") rather than falling back to raw
+// submits. One fault applier fans each event out over every ring (one
+// machine hosts a node's engine in each), and one audit, heal and flight
+// recorder close every run. Restarts cannot be judged at rings > 1 yet, so a
+// restart event there fails the run with a violation rather than being
+// dropped. Observers register, and events are scheduled, in one fixed
+// order: the determinism contract the shrinker and the seed corpora rely on.
 // run_campaign() sweeps every applicable scenario across N seeds, prints
 // each failure's seed and schedule (a failure reproduces from those alone),
 // and greedily shrinks the failing schedule to a minimal reproducer.
@@ -53,7 +62,7 @@ namespace accelring::check {
 
 struct RunOptions {
   int nodes = 5;
-  int rings = 1;  ///< 1 = single cluster; >1 = RingSet with K rings
+  int rings = 1;  ///< K rings in the RingSet; 1 = single cluster
   Nanos horizon = util::msec(250);     ///< workload + fault window
   Nanos drain = util::msec(300);       ///< heal-all, then quiesce
   Nanos submit_interval = util::msec(2);  ///< per-node submit cadence
@@ -94,7 +103,10 @@ struct RunResult {
   /// Violation ("healthy member quarantined"), not just a counter.
   uint64_t quarantines = 0;
   uint64_t readmits = 0;
-  uint64_t client_delivered = 0;  ///< client-level runs: app deliveries
+  /// Client and KV runs: deliveries at the client fleet's application
+  /// callbacks, or KV ops the session workload completed. `delivered`
+  /// counts only protocol deliveries.
+  uint64_t client_delivered = 0;
   std::string report;      ///< violations joined, "" when ok
   /// Flight-recorder artifact written for this run ("" when the run passed,
   /// artifact_dir was empty, or the write failed).
@@ -133,6 +145,7 @@ struct CampaignResult {
   int runs = 0;
   int failures = 0;
   uint64_t delivered = 0;            ///< across all runs
+  uint64_t client_delivered = 0;     ///< across all runs (see RunResult)
   uint64_t false_ejections = 0;      ///< across all runs (see RunResult)
   uint64_t quarantines = 0;          ///< across all runs (see RunResult)
   uint64_t readmits = 0;             ///< across all runs (see RunResult)

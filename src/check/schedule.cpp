@@ -935,8 +935,8 @@ const std::vector<Scenario>& scenarios() {
       // Appended after the original seven so the (seed, scenario index)
       // schedule derivation of the regression corpus stays stable.
       {"latency_shift", latency_shift, true},
-      {"overload", overload, false, /*client_level=*/true},
-      {"reconnect_storm", reconnect_storm, false, /*client_level=*/true},
+      {"overload", overload, false, Workload::kClients},
+      {"reconnect_storm", reconnect_storm, false, Workload::kClients},
       // Gray-failure scenarios (appended, same stability rule as above).
       // Not multiring-safe: a quarantine eviction legitimately changes ring
       // membership, which the merged-prefix oracle must not excuse.
@@ -948,60 +948,40 @@ const std::vector<Scenario>& scenarios() {
       // stack — state transfer, leases, sessions — under its nastiest
       // faults, judged by the KvOracle on top of the protocol oracles.
       {"kv_state_transfer_crash", kv_state_transfer_crash, false,
-       /*client_level=*/false, /*kv_level=*/true},
-      {"kv_lease_holder_crash", kv_lease_holder_crash, false,
-       /*client_level=*/false, /*kv_level=*/true},
+       Workload::kKv},
+      {"kv_lease_holder_crash", kv_lease_holder_crash, false, Workload::kKv},
       // WAN / correlated-fault scenarios (appended, same stability rule):
       // every one runs on campaign_wan_topology with WAN-scaled timeouts.
       // Loss and latency surges are multiring-safe; rack power (restarts),
       // brownout (legitimate quarantines), and flaps (connectivity loss) are
       // single-ring, and the kv variant drives the full KV stack.
-      {"wan_loss_bursts", wan_loss_bursts, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"wan_latency_surge", wan_latency_surge, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"rack_power", rack_power, false,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"switch_brownout", switch_brownout, false,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"dc_flap", dc_flap, false,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/true},
-      {"kv_wan_rack_power", kv_wan_rack_power, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/true},
+      {"wan_loss_bursts", wan_loss_bursts, true, Workload::kRaw, true},
+      {"wan_latency_surge", wan_latency_surge, true, Workload::kRaw, true},
+      {"rack_power", rack_power, false, Workload::kRaw, true},
+      {"switch_brownout", switch_brownout, false, Workload::kRaw, true},
+      {"dc_flap", dc_flap, false, Workload::kRaw, true},
+      {"kv_wan_rack_power", kv_wan_rack_power, false, Workload::kKv, true},
       // Storage-fault scenarios (appended, same stability rule): the full
       // KV stack with per-node durable stores, power cut mid-run, judged by
       // the DurabilityOracle on top of the KV and protocol oracles.
-      {"kv_blackout", kv_blackout, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/false,
-       /*durable=*/true},
-      {"kv_blackout_torn", kv_blackout_torn, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/false,
-       /*durable=*/true},
-      {"kv_disk_bitrot", kv_disk_bitrot, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/false,
-       /*durable=*/true},
-      {"kv_disk_stress", kv_disk_stress, false,
-       /*client_level=*/false, /*kv_level=*/true, /*wan=*/false,
-       /*durable=*/true},
+      {"kv_blackout", kv_blackout, false, Workload::kDurableKv},
+      {"kv_blackout_torn", kv_blackout_torn, false, Workload::kDurableKv},
+      {"kv_disk_bitrot", kv_disk_bitrot, false, Workload::kDurableKv},
+      {"kv_disk_stress", kv_disk_stress, false, Workload::kDurableKv},
       // Live-migration scenarios (appended, same stability rule): keyed
       // workload through the per-node ShardRouters, totally-ordered
       // freeze/drain/activate handoffs, judged by the MergedOracle's handoff
-      // audit. Multi-ring only (the runner skips them at rings == 1);
-      // multiring_safe=true so the sweep reaches them, including the
+      // audit. Multi-ring only (the campaign sweep skips them at rings ==
+      // 1); multiring_safe=true so the sweep reaches them, including the
       // partition one — the merged-prefix oracle's content-order fallback
       // plus the per-node handoff replay stay sound across a split.
-      {"ring_add_under_load", ring_add_under_load, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/false,
-       /*durable=*/false, /*migration=*/true},
+      {"ring_add_under_load", ring_add_under_load, true, Workload::kMigration},
       {"ring_remove_under_load", ring_remove_under_load, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/false,
-       /*durable=*/false, /*migration=*/true},
+       Workload::kMigration},
       {"migration_during_partition_heal", migration_during_partition_heal,
-       true, /*client_level=*/false, /*kv_level=*/false, /*wan=*/false,
-       /*durable=*/false, /*migration=*/true},
+       true, Workload::kMigration},
       {"hot_shard_zipf_rebalance", hot_shard_zipf_rebalance, true,
-       /*client_level=*/false, /*kv_level=*/false, /*wan=*/false,
-       /*durable=*/false, /*migration=*/true, /*zipf_keys=*/true},
+       Workload::kMigrationZipf},
   };
   return kScenarios;
 }

@@ -88,37 +88,50 @@ struct Schedule {
 /// fault horizon). All generated events land inside [horizon/10, horizon].
 using ScenarioFn = Schedule (*)(uint64_t seed, int nodes, Nanos horizon);
 
+/// What a scenario's run drives, and which extra oracles judge it.
+enum class Workload : uint8_t {
+  /// Direct engine submits, a fixed cadence per node; at K > 1 each node
+  /// spreads its submits round-robin over the rings.
+  kRaw,
+  /// A ClientFleet (daemons + failover clients) drives the workload. K = 1
+  /// only.
+  kClients,
+  /// A full KV service (KvService + SessionWorkload + KvOracle) instead of
+  /// raw submits, checking state-machine agreement, read correctness,
+  /// session guarantees, and lease exclusivity under the schedule's faults.
+  /// K = 1 only.
+  kKv,
+  /// kKv with per-node durability: every replica persists through a
+  /// ReplicaStore over the node's SimDisk, and the DurabilityOracle judges
+  /// every recovery against the committed history. K = 1 only.
+  kDurableKv,
+  /// Live migration: the workload submits through the per-node ShardRouters
+  /// (keyed), the schedule carries kMigrate/kRingOffline events, and the
+  /// MergedOracle runs its handoff audit. The campaign sweep skips these at
+  /// K = 1, where there is nothing to migrate between (run_schedule runs
+  /// them there as raw submits, with kMigrate a no-op).
+  kMigration,
+  /// kMigration with zipf-skewed keys (hot-shard scenarios) instead of
+  /// uniform per-(node, index) keys.
+  kMigrationZipf,
+};
+
 struct Scenario {
   const char* name;
   ScenarioFn make;
   /// Safe to run against a multi-ring set: faults that may legitimately
   /// split the merged total order (partitions) are excluded there.
   bool multiring_safe;
-  /// Runs with a ClientFleet (daemons + failover clients driving the
-  /// workload) instead of direct engine submits. Single-ring only.
-  bool client_level = false;
-  /// Runs a full KV service (KvService + SessionWorkload + KvOracle) on the
-  /// cluster instead of raw submits, checking state-machine agreement, read
-  /// correctness, session guarantees, and lease exclusivity under the
-  /// schedule's faults. Single-ring only.
-  bool kv_level = false;
+  Workload workload = Workload::kRaw;
   /// Runs on the campaign's multi-datacenter topology
   /// (campaign_wan_topology) with WAN-scaled protocol timeouts and a longer
   /// drain, instead of the single-switch LAN fabric.
   bool wan = false;
-  /// KV-level run with per-node durability: every replica persists through
-  /// a ReplicaStore over the node's SimDisk, and the DurabilityOracle
-  /// judges every recovery against the committed history. Implies kv_level
-  /// semantics; single-ring only.
-  bool durable = false;
-  /// Live-migration scenario: the workload submits through the per-node
-  /// ShardRouters (keyed), the schedule carries kMigrate/kRingOffline
-  /// events, and the MergedOracle runs its handoff audit. Multi-ring only —
-  /// skipped when the campaign sweeps rings == 1.
-  bool migration = false;
-  /// Keyed workload draws zipf-skewed keys (hot-shard scenarios) instead of
-  /// uniform per-(node, index) keys.
-  bool zipf_keys = false;
+
+  [[nodiscard]] bool migration() const {
+    return workload == Workload::kMigration ||
+           workload == Workload::kMigrationZipf;
+  }
 };
 
 /// The 3-datacenter topology every WAN campaign scenario runs on: `nodes`

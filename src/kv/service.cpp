@@ -35,33 +35,9 @@ std::string make_value(uint64_t id, size_t size) {
   return v;
 }
 
-KvService::KvService(harness::SimCluster& cluster, const ServiceConfig& cfg)
-    : cfg_(cfg), cluster_(&cluster), eq_(&cluster.eq()),
-      nodes_(cluster.size()) {
-  assert(cfg_.shards == 1);
-  init();
-  cluster_->add_on_deliver([this](int node, const protocol::Delivery& d,
-                                  Nanos at) { on_ring_delivery(node, 0, d, at); });
-  cluster_->add_on_config(
-      [this](int node, const protocol::ConfigurationChange& change) {
-        on_ring_config(node, 0, change);
-      });
-}
-
 KvService::KvService(multiring::RingSet& rings, const ServiceConfig& cfg)
-    : cfg_(cfg), rings_(&rings), eq_(&rings.eq()),
-      nodes_(rings.nodes_per_ring()) {
+    : cfg_(cfg), rings_(rings), nodes_(rings.nodes_per_ring()) {
   assert(cfg_.shards == rings.num_rings());
-  init();
-  rings_->add_on_merged([this](int node, int ring, const protocol::Delivery& d,
-                               Nanos at) { on_ring_delivery(node, ring, d, at); });
-  rings_->set_on_config(
-      [this](int node, int ring, const protocol::ConfigurationChange& change) {
-        on_ring_config(node, ring, change);
-      });
-}
-
-void KvService::init() {
   const auto n = static_cast<size_t>(nodes_);
   const auto k = static_cast<size_t>(cfg_.shards);
   machines_.resize(n);
@@ -81,9 +57,15 @@ void KvService::init() {
         [this, node](int shard, std::vector<std::byte> frame) {
           return submit_frame(node, shard, std::move(frame));
         },
-        [this] { return eq_->now(); });
+        [this] { return rings_.eq().now(); });
     setup_node(node, /*founder=*/true);
   }
+  rings_.add_on_merged([this](int node, int ring, const protocol::Delivery& d,
+                              Nanos at) { on_ring_delivery(node, ring, d, at); });
+  rings_.set_on_config(
+      [this](int node, int ring, const protocol::ConfigurationChange& change) {
+        on_ring_config(node, ring, change);
+      });
 }
 
 void KvService::setup_node(int node, bool founder) {
@@ -131,13 +113,8 @@ void KvService::setup_node(int node, bool founder) {
         static_cast<ProcessId>(node), *machines[static_cast<size_t>(shard)],
         [this, node, shard](std::vector<std::byte> payload) {
           if (down_[static_cast<size_t>(node)]) return false;
-          if (cluster_ != nullptr) {
-            cluster_->submit(node, protocol::Service::kAgreed,
-                             std::move(payload));
-          } else {
-            rings_->submit(node, shard, protocol::Service::kAgreed,
-                           std::move(payload));
-          }
+          rings_.submit(node, shard, protocol::Service::kAgreed,
+                         std::move(payload));
           return true;
         },
         founder, cfg_.replica,
@@ -178,7 +155,7 @@ void KvService::wire_shard(int node, int shard) {
     }
     exposed = std::max(exposed, applied.version);
     // Oracle first (record mutation history), then resolve the local op.
-    if (applied_obs_) applied_obs_(node, shard, applied, eq_->now());
+    if (applied_obs_) applied_obs_(node, shard, applied, rings_.eq().now());
     frontends_[static_cast<size_t>(node)]->on_applied(shard, applied);
   });
   frontends_[static_cast<size_t>(node)]->attach_shard(
@@ -243,7 +220,7 @@ void KvService::on_ring_config(int node, int shard,
   std::sort(members.begin(), members.end());
   views_[static_cast<size_t>(node)][static_cast<size_t>(shard)] = members;
   leases_[static_cast<size_t>(node)][static_cast<size_t>(shard)]
-      ->on_config_change(eq_->now(), cfg_.lease);
+      ->on_config_change(rings_.eq().now(), cfg_.lease);
   const uint64_t gen =
       ++lease_gen_[static_cast<size_t>(node)][static_cast<size_t>(shard)];
   if (!cfg_.lease.enabled) return;
@@ -258,18 +235,13 @@ void KvService::submit_grant(int node, int shard) {
   util::Writer w(16);
   w.u8(kLeaseFrame);
   w.u16(static_cast<ProcessId>(node));
-  w.i64(eq_->now());
-  if (cluster_ != nullptr) {
-    cluster_->submit(node, protocol::Service::kAgreed, std::move(w).take());
-  } else {
-    rings_->submit(node, shard, protocol::Service::kAgreed,
-                   std::move(w).take());
-  }
+  w.i64(rings_.eq().now());
+  rings_.submit(node, shard, protocol::Service::kAgreed, std::move(w).take());
   ++stats_.grants_submitted;
 }
 
 void KvService::arm_renewal(int node, int shard, uint64_t gen) {
-  eq_->schedule_after(cfg_.lease.renew_every, [this, node, shard, gen] {
+  rings_.eq().schedule_after(cfg_.lease.renew_every, [this, node, shard, gen] {
     const auto n = static_cast<size_t>(node);
     const auto s = static_cast<size_t>(shard);
     if (down_[n] || lease_gen_[n][s] != gen) return;
@@ -323,9 +295,7 @@ void KvService::set_on_outcome(OutcomeFn fn) {
 
 void KvService::bind_node_metrics(int node) {
   for (int shard = 0; shard < cfg_.shards; ++shard) {
-    obs::MetricsRegistry* registry =
-        cluster_ != nullptr ? cluster_->metrics(node)
-                            : rings_->ring(shard).metrics(node);
+    obs::MetricsRegistry* registry = rings_.ring(shard).metrics(node);
     if (registry == nullptr) continue;
     replicas_[static_cast<size_t>(node)][static_cast<size_t>(shard)]
         ->set_metrics(rsm::RsmMetrics::bind(*registry));

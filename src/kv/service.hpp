@@ -1,27 +1,27 @@
 // Sharded replicated KV service assembly.
 //
-// Glues the pieces into a running service over either substrate:
-//
-//  * one `SimCluster` — a single shard on a single ring (the campaign and
-//    unit-test setup, where crash/restart faults are available), or
-//  * a `RingSet`  — K shards, shard s ordered by ring s, every logical node
-//    replicating every shard (the benchmark setup; Multi-Ring capacity
-//    scaling carries straight over to the KV service).
+// Glues the pieces into a running service over one substrate, a RingSet:
+// K shards, shard s ordered by ring s, every logical node replicating every
+// shard (Multi-Ring capacity scaling carries straight over to the KV
+// service). K = 1 is the single-cluster case the campaigns and unit tests
+// run: one ring, no skip daemon, so the merged stream is the ring's own
+// delivery stream.
 //
 // Per (node, shard) the service owns a KvStateMachine, an rsm::Replica
 // driving it (chunked state transfer, compaction, divergence audit), and a
-// LeaseTable. Per node it owns a Frontend. The service wires deliveries and
-// configuration changes from the substrate into the replicas and lease
-// tables, runs the lease-acquisition protocol (the designated holder of each
-// shard's view multicasts grant frames through the shard's ordered stream
-// and renews on a timer), and exposes observer hooks the KvOracle and the
-// workload driver tap.
+// LeaseTable. Per node it owns a Frontend. The service wires merged
+// deliveries and configuration changes from the ring set into the replicas
+// and lease tables, runs the lease-acquisition protocol (the designated
+// holder of each shard's view multicasts grant frames through the shard's
+// ordered stream and renews on a timer), and exposes observer hooks the
+// KvOracle and the workload driver tap.
 //
-// Crash/restart choreography (SimCluster substrate): the fault injector
-// calls cluster.crash_node(n) then service.on_crash(n); after
-// cluster.restart_node(n) it calls service.on_restart(n), which stands up
-// fresh machines/replicas/lease tables for the node — state comes back via
-// the replica's chunked state transfer, exactly like a rebooted daemon.
+// Crash/restart choreography: the fault injector crashes the node's engine
+// in every ring, then calls service.on_crash(n); after restarting it (the
+// campaigns restart only at K = 1, through rings.ring(0)) it calls
+// service.on_restart(n), which stands up fresh machines/replicas/lease
+// tables for the node — state comes back via the replica's chunked state
+// transfer, exactly like a rebooted daemon.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/cluster.hpp"
 #include "kv/frontend.hpp"
 #include "kv/lease.hpp"
 #include "kv/state_machine.hpp"
@@ -84,15 +83,12 @@ class KvService {
     uint64_t divergence_carried = 0;
   };
 
-  /// Single-shard service over one cluster. Requires cfg.shards == 1.
-  KvService(harness::SimCluster& cluster, const ServiceConfig& cfg);
-
   /// K-shard service over a ring set: shard s is ordered by ring s, so
   /// cfg.shards must equal rings.num_rings(). Claims the ring set's
   /// set_on_config slot (deliveries use the accumulating merged observers).
   KvService(multiring::RingSet& rings, const ServiceConfig& cfg);
 
-  /// Fault choreography (SimCluster substrate; see file comment).
+  /// Fault choreography (see file comment).
   void on_crash(int node);
   void on_restart(int node);
 
@@ -128,7 +124,7 @@ class KvService {
   [[nodiscard]] bool node_up(int node) const {
     return !down_[static_cast<size_t>(node)];
   }
-  [[nodiscard]] simnet::EventQueue& eq() { return *eq_; }
+  [[nodiscard]] simnet::EventQueue& eq() { return rings_.eq(); }
   [[nodiscard]] int nodes() const { return nodes_; }
   [[nodiscard]] int shards() const { return cfg_.shards; }
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
@@ -139,7 +135,6 @@ class KvService {
   [[nodiscard]] uint64_t total_divergence() const;
 
  private:
-  void init();
   void setup_node(int node, bool founder);
   void wire_shard(int node, int shard);
   bool submit_frame(int node, int shard, std::vector<std::byte> payload);
@@ -152,9 +147,7 @@ class KvService {
   void bind_node_metrics(int node);
 
   ServiceConfig cfg_;
-  harness::SimCluster* cluster_ = nullptr;  ///< single-shard substrate
-  multiring::RingSet* rings_ = nullptr;     ///< K-shard substrate
-  simnet::EventQueue* eq_ = nullptr;
+  multiring::RingSet& rings_;
   int nodes_ = 0;
 
   std::vector<std::unique_ptr<Frontend>> frontends_;  ///< per node

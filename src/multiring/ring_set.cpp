@@ -80,6 +80,9 @@ void RingSet::set_on_config(ConfigFn fn) {
 
 void RingSet::start_static() {
   for (auto& cluster : clusters_) cluster->start_static();
+  // A lone ring has no rotation for an idle ring to hold up, so it orders no
+  // skips: a one-ring set replays a bare SimCluster event for event.
+  if (cfg_.rings == 1) return;
   for (int r = 0; r < cfg_.rings; ++r) {
     // Offset the first ticks so K skip daemons do not fire in lockstep.
     eq_.schedule_after(

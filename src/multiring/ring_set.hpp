@@ -15,7 +15,10 @@
 // Liveness of the merge: node 0 of each ring arms a periodic skip daemon
 // that orders a skip message whenever its ring moved fewer than one merge
 // batch in the last interval, so an idle ring cannot stall the rotation
-// (merger.hpp explains the rule).
+// (merger.hpp explains the rule). With K = 1 there is no rotation to stall,
+// so no skip daemon runs: the merged stream is ring 0's delivery stream, and
+// a one-ring set replays a bare SimCluster event for event. That makes K = 1
+// the single-cluster substrate for the campaigns and the KV service.
 //
 // Elasticity: the physical ring set K is fixed, but hash-space ownership
 // migrates live (migration.hpp). start_migration() stages a MigrationPlan on
@@ -55,7 +58,7 @@ struct MultiRingConfig {
   protocol::ProtocolConfig proto;
   ImplProfile profile = ImplProfile::kLibrary;
   uint32_t merge_batch = 16;               ///< M slots per ring per rotation
-  Nanos skip_interval = util::usec(500);   ///< skip-daemon period
+  Nanos skip_interval = util::usec(500);   ///< skip-daemon period (K > 1)
   uint64_t seed = 1;
   /// Rings initially owning hash space; 0 = all. Rings beyond this count
   /// still run (their skip daemons keep the merge rotating) but carry no
@@ -77,8 +80,8 @@ class RingSet {
 
   explicit RingSet(const MultiRingConfig& cfg);
 
-  /// Start all K rings on pre-agreed static membership and arm the skip
-  /// daemons (the benchmark setup).
+  /// Start all K rings on pre-agreed static membership and, when K > 1, arm
+  /// the skip daemons (the benchmark setup).
   void start_static();
 
   /// Submit to an explicit ring (callers that already routed).

@@ -365,7 +365,7 @@ TEST(CampaignTest, SingleRingAllScenariosClean) {
   // Migration scenarios need K > 1 rings and are skipped single-ring.
   int single_ring_scenarios = 0;
   for (const Scenario& sc : scenarios()) {
-    if (!sc.migration) ++single_ring_scenarios;
+    if (!sc.migration()) ++single_ring_scenarios;
   }
   EXPECT_EQ(result.runs, single_ring_scenarios * opt.seeds_per_scenario);
   EXPECT_GT(result.delivered, 0u);
@@ -499,7 +499,7 @@ TEST(CampaignTest, StorageSeedCorpusClean) {
   opt.seeds_per_scenario = 0;
   opt.extra_seeds = corpus;
   for (const Scenario& sc : scenarios()) {
-    if (sc.durable) opt.only.push_back(sc.name);
+    if (sc.workload == Workload::kDurableKv) opt.only.push_back(sc.name);
   }
   ASSERT_GE(opt.only.size(), 4u);  // the durable catalogue
   const CampaignResult result = run_campaign(opt);
@@ -541,7 +541,7 @@ TEST(CampaignTest, MigrationSeedCorpusClean) {
   opt.seeds_per_scenario = 0;
   opt.extra_seeds = corpus;
   for (const Scenario& sc : scenarios()) {
-    if (sc.migration) opt.only.push_back(sc.name);
+    if (sc.migration()) opt.only.push_back(sc.name);
   }
   ASSERT_EQ(opt.only.size(), 4u);  // the migration catalogue
   const CampaignResult result = run_campaign(opt);
@@ -616,6 +616,30 @@ TEST(CampaignTest, RestartAtMultiRingFailsLoudly) {
     const std::string want =
         std::string(fault_name(kind)) + " unsupported at rings=4";
     EXPECT_NE(res.report.find(want), std::string::npos) << res.report;
+  }
+}
+
+// The client fleet and the KV stack run on one ring only. At K > 1 the
+// runner must refuse their scenarios instead of quietly running raw submits
+// (where kOverload would do nothing). The catalogue never gets here: these
+// scenarios are not multiring_safe.
+TEST(CampaignTest, ClientAndKvWorkloadsAtMultiRingFailLoudly) {
+  RunOptions run = fast_run_options();
+  run.rings = 4;
+  const struct {
+    const char* scenario;
+    const char* want;
+  } kCases[] = {
+      {"overload", "client workload unsupported at rings=4"},
+      {"kv_lease_holder_crash", "kv workload unsupported at rings=4"},
+  };
+  for (const auto& c : kCases) {
+    const uint64_t seed = 2;
+    const Schedule schedule =
+        find_scenario(c.scenario)->make(seed, run.nodes, run.horizon);
+    const RunResult res = run_schedule(run, schedule, seed);
+    EXPECT_FALSE(res.ok) << c.scenario;
+    EXPECT_NE(res.report.find(c.want), std::string::npos) << res.report;
   }
 }
 

@@ -1,27 +1,37 @@
-// End-to-end KV service tests over a SimCluster: replicated puts/gets with
-// oracle checking, the lease fast path, and restart recovery via chunked
-// state transfer (snapshot + retained suffix, not full replay).
+// End-to-end KV service tests over a one-ring RingSet (the single-cluster
+// substrate): replicated puts/gets with oracle checking, the lease fast
+// path, and restart recovery via chunked state transfer (snapshot +
+// retained suffix, not full replay).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "check/kv_oracle.hpp"
-#include "harness/cluster.hpp"
 #include "kv/service.hpp"
+#include "multiring/ring_set.hpp"
 
 namespace accelring::kv {
 namespace {
 
 using check::KvOracle;
-using harness::ImplProfile;
-using harness::SimCluster;
 
 protocol::ProtocolConfig fast_cfg() {
   protocol::ProtocolConfig cfg;
   cfg.timeouts.token_loss = util::msec(30);
   cfg.timeouts.join = util::msec(5);
   cfg.timeouts.consensus = util::msec(60);
+  return cfg;
+}
+
+/// Three nodes on one ring: the single-cluster substrate.
+multiring::MultiRingConfig one_ring(uint64_t seed) {
+  multiring::MultiRingConfig cfg;
+  cfg.rings = 1;
+  cfg.nodes_per_ring = 3;
+  cfg.fabric = simnet::FabricParams::one_gig();
+  cfg.proto = fast_cfg();
+  cfg.seed = seed;
   return cfg;
 }
 
@@ -86,13 +96,12 @@ KvOp get_op(std::string key) {
 }
 
 TEST(KvService, ReplicatedPutsAndGetsConvergeUnderOracle) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 101);
+  multiring::RingSet rings(one_ring(101));
   ServiceConfig cfg;
-  KvService service(cluster, cfg);
+  KvService service(rings, cfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   std::vector<ScriptedSession> sessions(6);
   for (int s = 0; s < 6; ++s) {
@@ -106,7 +115,7 @@ TEST(KvService, ReplicatedPutsAndGetsConvergeUnderOracle) {
     }
     sessions[s].start(util::msec(20) + s * util::msec(1));
   }
-  cluster.run_until(util::sec(2));
+  rings.run_until(util::sec(2));
   oracle.finalize();
 
   EXPECT_TRUE(oracle.ok()) << oracle.report();
@@ -134,13 +143,12 @@ TEST(KvService, ReplicatedPutsAndGetsConvergeUnderOracle) {
 }
 
 TEST(KvService, LeaseHolderServesReadsLocally) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 103);
+  multiring::RingSet rings(one_ring(103));
   ServiceConfig cfg;
-  KvService service(cluster, cfg);
+  KvService service(rings, cfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   // One write to seed the key, then repeated reads from every node.
   ScriptedSession writer;
@@ -158,7 +166,7 @@ TEST(KvService, LeaseHolderServesReadsLocally) {
     // Start well after the first lease grant has been ordered.
     readers[n].start(util::msec(120));
   }
-  cluster.run_until(util::sec(2));
+  rings.run_until(util::sec(2));
   oracle.finalize();
   EXPECT_TRUE(oracle.ok()) << oracle.report();
 
@@ -186,13 +194,12 @@ TEST(KvService, LeaseHolderServesReadsLocally) {
 }
 
 TEST(KvService, LeaseRevokedOnViewChangeUntilRegrant) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 107);
+  multiring::RingSet rings(one_ring(107));
   ServiceConfig cfg;
-  KvService service(cluster, cfg);
+  KvService service(rings, cfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   ScriptedSession writer;
   writer.service = &service;
@@ -203,8 +210,8 @@ TEST(KvService, LeaseRevokedOnViewChangeUntilRegrant) {
 
   // Crash the designated holder (node 0) mid-run; the survivors must
   // re-grant among themselves and keep serving without stale reads.
-  cluster.eq().schedule(util::msec(300), [&] {
-    cluster.crash_node(0);
+  rings.eq().schedule(util::msec(300), [&] {
+    rings.ring(0).crash_node(0);
     service.on_crash(0);
   });
   std::vector<ScriptedSession> readers(2);
@@ -215,7 +222,7 @@ TEST(KvService, LeaseRevokedOnViewChangeUntilRegrant) {
     for (int i = 0; i < 100; ++i) readers[n].script.push_back(get_op("k"));
     readers[n].start(util::msec(150));
   }
-  cluster.run_until(util::sec(3));
+  rings.run_until(util::sec(3));
   oracle.finalize();
 
   EXPECT_TRUE(oracle.ok()) << oracle.report();
@@ -229,14 +236,13 @@ TEST(KvService, LeaseRevokedOnViewChangeUntilRegrant) {
 }
 
 TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(), fast_cfg(),
-                     ImplProfile::kLibrary, 109);
+  multiring::RingSet rings(one_ring(109));
   ServiceConfig cfg;
   cfg.replica.checkpoint_interval = 16;  // frequent checkpoints + compaction
-  KvService service(cluster, cfg);
+  KvService service(rings, cfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   // Phase 1: 120 writes, then crash node 2.
   std::vector<ScriptedSession> sessions(3);
@@ -250,8 +256,8 @@ TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
     }
     sessions[s].start(util::msec(20));
   }
-  cluster.eq().schedule(util::msec(400), [&] {
-    cluster.crash_node(2);
+  rings.eq().schedule(util::msec(400), [&] {
+    rings.ring(0).crash_node(2);
     service.on_crash(2);
     oracle.note_restart(2);  // version floors reset with the node
   });
@@ -264,12 +270,12 @@ TEST(KvService, RestartRecoversViaStateTransferNotFullReplay) {
         put_op("k" + std::to_string(i % 12), "p2-" + std::to_string(i)));
   }
   late.start(util::msec(450));
-  cluster.eq().schedule(util::msec(900), [&] {
-    cluster.restart_node(2);
+  rings.eq().schedule(util::msec(900), [&] {
+    rings.ring(0).restart_node(2);
     service.on_restart(2);
     oracle.note_restart(2);
   });
-  cluster.run_until(util::sec(4));
+  rings.run_until(util::sec(4));
   oracle.finalize();
 
   EXPECT_TRUE(oracle.ok()) << oracle.report();

@@ -8,17 +8,26 @@
 #include <vector>
 
 #include "check/kv_oracle.hpp"
-#include "harness/cluster.hpp"
 #include "kv/service.hpp"
 #include "kv/workload.hpp"
+#include "multiring/ring_set.hpp"
 #include "util/rng.hpp"
 
 namespace accelring::kv {
 namespace {
 
 using check::KvOracle;
-using harness::ImplProfile;
-using harness::SimCluster;
+
+/// Three nodes on one ring (the single-cluster substrate), default protocol
+/// timeouts.
+multiring::MultiRingConfig one_ring(uint64_t seed) {
+  multiring::MultiRingConfig cfg;
+  cfg.rings = 1;
+  cfg.nodes_per_ring = 3;
+  cfg.fabric = simnet::FabricParams::one_gig();
+  cfg.seed = seed;
+  return cfg;
+}
 
 TEST(ZipfGen, ProbabilitiesNormalizeAndRankDecreasing) {
   ZipfGen zipf(1000, 0.99);
@@ -108,11 +117,10 @@ TEST(Workload, ArrivalCountMatchesTheIntensityIntegral) {
   // Run the real open-loop driver against a live 3-node service and compare
   // total arrivals (issued + skips) with base_rate * integral of the
   // diurnal factor. Poisson noise at N draws is ~sqrt(N); allow 5 sigma.
-  SimCluster cluster(3, simnet::FabricParams::one_gig(),
-                     protocol::ProtocolConfig{}, ImplProfile::kLibrary, 11);
+  multiring::RingSet rings(one_ring(11));
   ServiceConfig scfg;
-  KvService service(cluster, scfg);
-  cluster.start_static();
+  KvService service(rings, scfg);
+  rings.start_static();
 
   WorkloadConfig wcfg;
   wcfg.sessions = 3000;
@@ -127,7 +135,7 @@ TEST(Workload, ArrivalCountMatchesTheIntensityIntegral) {
   wcfg.seed = 7;
   SessionWorkload workload(service, wcfg);
   workload.start();
-  cluster.run_until(util::msec(1300));
+  rings.run_until(util::msec(1300));
 
   const auto& st = workload.stats();
   const uint64_t arrivals = st.issued + st.busy_skips + st.down_skips;
@@ -149,13 +157,12 @@ TEST(Workload, ArrivalCountMatchesTheIntensityIntegral) {
 }
 
 TEST(Workload, DriverStaysCorrectUnderOracleWithChurn) {
-  SimCluster cluster(3, simnet::FabricParams::one_gig(),
-                     protocol::ProtocolConfig{}, ImplProfile::kLibrary, 13);
+  multiring::RingSet rings(one_ring(13));
   ServiceConfig scfg;
-  KvService service(cluster, scfg);
+  KvService service(rings, scfg);
   KvOracle oracle;
   oracle.attach(service);
-  cluster.start_static();
+  rings.start_static();
 
   WorkloadConfig wcfg;
   wcfg.sessions = 60;  // small pool so churn actually hits in-flight ops
@@ -170,7 +177,7 @@ TEST(Workload, DriverStaysCorrectUnderOracleWithChurn) {
   wcfg.seed = 23;
   SessionWorkload workload(service, wcfg);
   workload.start();
-  cluster.run_until(util::msec(1200));
+  rings.run_until(util::msec(1200));
   oracle.finalize();
 
   EXPECT_TRUE(oracle.ok()) << oracle.report();

@@ -326,6 +326,42 @@ TEST(RingSet, IdleRingDoesNotStallTheMerge) {
   EXPECT_EQ(set.merger(0).queued(0), 0u);
 }
 
+TEST(RingSet, OneRingSetIsItsRingWithoutSkips) {
+  // K = 1 has no rotation to hold up, so no skip daemon runs: through
+  // traffic and a long idle stretch, every node's merged stream is exactly
+  // ring 0's delivery stream at that node.
+  RingSet set(small_config(1, 19));
+  // (sender, seq, payload size): a skip is 9 bytes, a data message 64.
+  using Entry = std::tuple<uint16_t, protocol::SeqNum, size_t>;
+  std::vector<std::vector<Entry>> ordered(
+      static_cast<size_t>(set.nodes_per_ring()));
+  std::vector<std::vector<Entry>> merged(ordered.size());
+  set.ring(0).add_on_deliver([&ordered](int node, const Delivery& d, Nanos) {
+    ordered[static_cast<size_t>(node)].emplace_back(d.sender, d.seq,
+                                                    d.payload.size());
+  });
+  set.set_on_merged([&merged](int node, int, const Delivery& d, Nanos) {
+    merged[static_cast<size_t>(node)].emplace_back(d.sender, d.seq,
+                                                   d.payload.size());
+  });
+  set.start_static();
+  for (uint32_t i = 0; i < 60; ++i) {
+    const int node = static_cast<int>(i) % set.nodes_per_ring();
+    set.eq().schedule(util::usec(300) * (i + 1), [&set, node, i] {
+      set.submit_keyed(node, i, Service::kAgreed,
+                       tagged_payload(static_cast<uint32_t>(node), i));
+    });
+  }
+  // Traffic ends near 18 ms; the rest is idle, many skip intervals long.
+  set.run_until(util::msec(100));
+  for (int node = 0; node < set.nodes_per_ring(); ++node) {
+    const auto n = static_cast<size_t>(node);
+    EXPECT_EQ(set.merger(node).stats().skip_msgs, 0u) << "node " << node;
+    EXPECT_EQ(merged[n].size(), 60u) << "node " << node;
+    EXPECT_EQ(merged[n], ordered[n]) << "node " << node;
+  }
+}
+
 TEST(RingSet, PerRingStatsExposeDeliveriesAndTraffic) {
   RingSet set(small_config(2, 3));
   set.set_on_merged([](int, int, const Delivery&, Nanos) {});
@@ -451,8 +487,8 @@ TEST(RingSetMigration, SecondMigrationRejectedWhileInFlight) {
 // --- GroupLayer over sharded rings ------------------------------------------
 
 /// N logical daemons over a RingSet: every daemon runs one GroupLayer whose
-/// sends are routed to each group's shard ring and whose deliveries come
-/// from the merged stream.
+/// sends the ring set routes to each group's shard ring (submit_named) and
+/// whose deliveries come from the merged stream.
 struct ShardedGroups {
   RingSet set;
   std::vector<std::unique_ptr<groups::GroupLayer>> layers;
@@ -472,7 +508,12 @@ struct ShardedGroups {
       }
       layers.push_back(std::make_unique<groups::GroupLayer>(
           static_cast<protocol::ProcessId>(n), std::move(submits),
-          [this](std::string_view group) { return set.shards().ring_of(group); }));
+          groups::GroupLayer::KeyedSubmitFn(
+              [this, n](std::string_view group, Service service,
+                        std::vector<std::byte> payload) {
+                set.submit_named(n, group, service, std::move(payload));
+                return true;
+              })));
       layers.back()->set_on_message(
           [this, n](uint32_t client, const std::string& group,
                     const std::string&, Service,
@@ -557,43 +598,12 @@ TEST(ShardedGroupLayer, DisconnectLeavesGroupsOnEveryRing) {
 }
 
 TEST(ShardedGroupLayer, ElasticRoutingSurvivesRingRemoval) {
-  // The elastic assembly: group routing lives in the substrate's versioned
-  // ShardRouter (submit_named), so a group's home ring can be drained out
-  // from under the layer while clients keep sending.
-  RingSet set(small_config(3, 13));
-  std::vector<std::unique_ptr<groups::GroupLayer>> layers;
-  std::vector<std::vector<std::pair<int, char>>> delivered(
-      static_cast<size_t>(set.nodes_per_ring()));
-  for (int n = 0; n < set.nodes_per_ring(); ++n) {
-    std::vector<groups::GroupLayer::SubmitFn> submits;
-    for (int r = 0; r < set.num_rings(); ++r) {
-      submits.push_back(
-          [&set, n, r](Service service, std::vector<std::byte> payload) {
-            set.submit(n, r, service, std::move(payload));
-            return true;
-          });
-    }
-    layers.push_back(std::make_unique<groups::GroupLayer>(
-        static_cast<protocol::ProcessId>(n), std::move(submits),
-        groups::GroupLayer::KeyedSubmitFn(
-            [&set, n](std::string_view group, Service service,
-                      std::vector<std::byte> payload) {
-              set.submit_named(n, group, service, std::move(payload));
-              return true;
-            })));
-    layers.back()->set_on_message(
-        [&delivered, n](uint32_t client, const std::string&,
-                        const std::string&, Service,
-                        std::span<const std::byte> payload) {
-          delivered[static_cast<size_t>(n)].emplace_back(
-              static_cast<int>(client),
-              payload.empty() ? '\0' : static_cast<char>(payload[0]));
-        });
-  }
-  set.set_on_merged([&layers](int node, int, const Delivery& d, Nanos) {
-    layers[static_cast<size_t>(node)]->on_delivery(d);
-  });
-  set.start_static();
+  // Group routing lives in the substrate's versioned ShardRouter
+  // (submit_named), so a group's home ring can be drained out from under
+  // the layer while clients keep sending.
+  ShardedGroups sg(3, 13);
+  RingSet& set = sg.set;
+  auto& layers = sg.layers;
 
   const std::string group = "elastic-room";
   const int home = set.shards().ring_of(group);
@@ -632,12 +642,14 @@ TEST(ShardedGroupLayer, ElasticRoutingSurvivesRingRemoval) {
   // Every daemon's local member received every send exactly once — no gap,
   // no dup across the handoff.
   for (int n = 0; n < set.nodes_per_ring(); ++n) {
-    const auto& got = delivered[static_cast<size_t>(n)];
-    ASSERT_EQ(got.size(), static_cast<size_t>(kSends)) << "node " << n;
-    for (const auto& [client, byte] : got) {
-      EXPECT_EQ(client, 100 + n);
+    size_t got = 0;
+    for (const auto& [node, client, g, byte] : sg.messages) {
+      if (node != n) continue;
+      ++got;
+      EXPECT_EQ(client, static_cast<uint32_t>(100 + n));
       EXPECT_EQ(byte, 'x');
     }
+    ASSERT_EQ(got, static_cast<size_t>(kSends)) << "node " << n;
   }
 }
 
