@@ -1,52 +1,45 @@
 // Multi-ring scaling: aggregate merged throughput for K = 1, 2, 4, 8 rings
 // on the simulated 10-gigabit fabric, versus the single-ring baseline.
 //
-// Each K is swept over offered load (K x a per-ring grid around single-ring
-// capacity) and reported at its best achieved merged throughput — the same
-// max-throughput methodology as the paper's headline numbers. The scaling
-// column is the multiplier over the K=1 baseline's best. Latency is
+// Each K runs through harness::run_point with `rings = K`, so every row uses
+// the §IV method of the other figures: fixed-rate stamped senders (16 × K
+// ordering keys each), injection-to-client latency, clean payload over the
+// window. Each K is swept over offered load (K x a per-ring grid around
+// single-ring capacity) and reported at its best achieved merged throughput
+// — the same max-throughput search as the paper's headline numbers. The
+// scaling column is the multiplier over the K=1 baseline's best. Latency is
 // injection to merged client receipt, so it includes time a message waits
 // for the round-robin cursor to reach its ring.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "multiring/measure.hpp"
 
 namespace accelring::bench {
 namespace {
 
-using multiring::MultiPointConfig;
-using multiring::MultiPointResult;
+using harness::PointResult;
 
-MultiPointConfig scaling_point(int rings, protocol::Service service,
-                               double per_ring_mbps) {
-  MultiPointConfig cfg;
-  cfg.ring.rings = rings;
-  cfg.ring.nodes_per_ring = 8;
-  cfg.ring.fabric = simnet::FabricParams::ten_gig();
-  cfg.ring.proto = harness::bench_protocol(Variant::kAccelerated);
-  cfg.ring.profile = ImplProfile::kLibrary;
-  cfg.ring.merge_batch = 16;
-  cfg.service = service;
-  cfg.payload_size = 1350;
-  cfg.offered_mbps = per_ring_mbps * rings;
-  cfg.streams_per_node = 16 * rings;  // plenty of keys per ring
-  cfg.warmup = util::msec(100);
-  cfg.measure = util::msec(200);
-  return cfg;
+PointConfig scaling_point(int rings, protocol::Service service) {
+  PointConfig pc = base_point(/*ten_gig=*/true);
+  pc.rings = rings;
+  pc.proto = harness::bench_protocol(Variant::kAccelerated);
+  pc.profile = ImplProfile::kLibrary;
+  pc.service = service;
+  pc.payload_size = 1350;
+  pc.measure = util::msec(200);
+  return pc;
 }
 
-/// Best merged throughput over the per-ring load grid (max-throughput
-/// search, stopping once achieved falls well short of offered).
-MultiPointResult best_point(int rings, protocol::Service service) {
-  MultiPointResult best;
-  for (double per_ring : {3000.0, 3750.0, 4250.0, 4750.0, 5250.0}) {
-    const MultiPointResult r =
-        multiring::run_multiring_point(scaling_point(rings, service, per_ring));
-    if (r.merged_mbps > best.merged_mbps) best = r;
-    if (r.merged_mbps < 0.85 * r.offered_mbps) break;
-  }
-  return best;
+void print_multiring_row(int rings, const PointResult& r,
+                         double baseline_mbps) {
+  std::printf(
+      "%5d %12.0f %12.1f %8.2fx %12.1f %12.1f %10llu %10llu %8.1f\n", rings,
+      r.offered_mbps, r.achieved_mbps,
+      baseline_mbps > 0 ? r.achieved_mbps / baseline_mbps : 1.0,
+      util::to_usec(r.mean_latency), util::to_usec(r.p99_latency),
+      static_cast<unsigned long long>(r.retransmits),
+      static_cast<unsigned long long>(r.buffer_drops + r.submit_rejected),
+      100.0 * r.max_cpu_utilization);
 }
 
 void run_service(const char* title, protocol::Service service) {
@@ -57,9 +50,14 @@ void run_service(const char* title, protocol::Service service) {
               "p99_us", "retrans", "drops", "cpu%");
   double baseline = 0;
   for (int rings : {1, 2, 4, 8}) {
-    const MultiPointResult r = best_point(rings, service);
-    if (rings == 1) baseline = r.merged_mbps;
-    multiring::print_multiring_row(rings, r, baseline);
+    std::vector<double> loads;
+    for (double per_ring : {3000.0, 3750.0, 4250.0, 4750.0, 5250.0}) {
+      loads.push_back(per_ring * rings);
+    }
+    const PointResult r =
+        harness::find_max_throughput(scaling_point(rings, service), loads);
+    if (rings == 1) baseline = r.achieved_mbps;
+    print_multiring_row(rings, r, baseline);
   }
   std::printf("\n");
 }

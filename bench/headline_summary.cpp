@@ -19,6 +19,10 @@ using accelring::harness::PointResult;
 void report_max(std::vector<Curve>& curves, const char* fabric_name,
                 bool ten_gig, size_t payload, double start, double step,
                 double ceiling) {
+  std::vector<double> loads;
+  for (double offered = start; offered <= ceiling; offered += step) {
+    loads.push_back(offered);
+  }
   std::printf("---- max clean-payload throughput, %s, %zuB ----\n",
               fabric_name, payload);
   std::printf("%-10s %-14s %14s %14s\n", "impl", "protocol", "max_mbps",
@@ -32,7 +36,7 @@ void report_max(std::vector<Curve>& curves, const char* fabric_name,
       pc.service = Service::kAgreed;
       pc.payload_size = payload;
       const PointResult best =
-          accelring::harness::find_max_throughput(pc, start, step, ceiling);
+          accelring::harness::find_max_throughput(pc, loads);
       Curve curve;
       curve.label = std::string(fabric_name) + " / " +
                     curve_label(profile, variant, Service::kAgreed, payload);

@@ -12,7 +12,12 @@
 //
 // The JVM-era per-message processing overheads of JGroups and the
 // (un-modelled) Paxos bookkeeping are approximated with a heavier CPU cost
-// profile; see DESIGN.md §1.
+// profile; see DESIGN.md §1. Every curve is measured the same way: the
+// baselines use harness::run_point's RateInjector and LatencyRecorder, and
+// their cpu% and drops columns come from the same process and switch
+// counters.
+#include <algorithm>
+
 #include "bench_common.hpp"
 
 #include "baselines/baseline_cluster.hpp"
@@ -35,11 +40,15 @@ transport::HostCosts baseline_costs() {
   return costs;
 }
 
+/// One baseline point under harness::run_point's method: the shared
+/// RateInjector and LatencyRecorder, with node 1 (not the coordinator) as
+/// the one observer.
 template <typename Protocol, typename Config>
 harness::PointResult run_baseline_point(bool ten_gig, Config cfg,
                                         double offered_mbps,
                                         size_t payload_size) {
   const int kNodes = 8;
+  const int kObserver = 1;
   const protocol::Nanos warmup = util::msec(100);
   const protocol::Nanos window_end = warmup + util::msec(300);
   baselines::BaselineCluster<Protocol, Config> cluster(
@@ -48,49 +57,39 @@ harness::PointResult run_baseline_point(bool ten_gig, Config cfg,
               : simnet::FabricParams::one_gig(),
       cfg, /*seed=*/1, baseline_costs());
 
-  util::LatencyStats latency;
-  util::Meter meter;
-  cluster.set_on_deliver([&](int node, const protocol::Delivery& d,
-                             protocol::Nanos at) {
-    if (node != 1) return;  // one observer (not the coordinator)
-    if (at < warmup || at >= window_end) return;
-    harness::PayloadStamp stamp;
-    if (!harness::parse_payload(d.payload, stamp)) return;
-    latency.add(at - stamp.inject_time);
-    meter.add(d.payload.size());
+  harness::LatencyRecorder recorder(kNodes, warmup, window_end);
+  cluster.set_on_deliver([&recorder](int node, const protocol::Delivery& d,
+                                     protocol::Nanos at) {
+    if (node == kObserver) recorder.record(node, d, at);
   });
-
-  // Fixed-rate injection, mirroring harness::RateInjector.
-  const double msgs_per_sec = offered_mbps * 1e6 / 8.0 /
-                              static_cast<double>(payload_size);
-  const auto interval =
-      static_cast<protocol::Nanos>(1e9 * kNodes / msgs_per_sec);
-  for (int node = 0; node < kNodes; ++node) {
-    // Self-rescheduling injector; the shared_ptr keeps the closure alive
-    // across the event chain.
-    auto inject =
-        std::make_shared<std::function<void(protocol::Nanos, uint32_t)>>();
-    *inject = [&cluster, node, payload_size, interval, window_end, inject](
-                  protocol::Nanos at, uint32_t index) {
-      if (at >= window_end) return;
-      cluster.eq().schedule(at, [&cluster, node, payload_size, at, index,
-                                 interval, inject] {
-        harness::PayloadStamp stamp{at, static_cast<uint32_t>(node), index};
-        cluster.submit(node, harness::make_payload(payload_size, stamp));
-        (*inject)(at + interval, index + 1);
-      });
-    };
-    (*inject)(util::usec(100) + interval * node / kNodes, 0);
-  }
+  harness::RateInjector::Options inject;
+  inject.payload_size = payload_size;
+  inject.aggregate_mbps = offered_mbps;
+  inject.start = util::usec(100);
+  inject.stop = window_end;
+  harness::RateInjector injector(
+      cluster.eq(), kNodes,
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, std::move(payload));
+      },
+      inject);
+  injector.arm();
   cluster.run_until(window_end + util::msec(50));
 
   harness::PointResult r;
   r.offered_mbps = offered_mbps;
-  r.achieved_mbps = meter.mbps(window_end - warmup);
-  r.mean_latency = latency.mean();
-  r.p50_latency = latency.percentile(0.5);
-  r.p99_latency = latency.percentile(0.99);
-  r.messages = meter.messages();
+  r.achieved_mbps = recorder.node_mbps(kObserver);
+  r.mean_latency = recorder.latency().mean();
+  r.p50_latency = recorder.latency().percentile(0.5);
+  r.p99_latency = recorder.latency().percentile(0.99);
+  r.messages = recorder.node_messages(kObserver);
+  r.buffer_drops = cluster.net().stats().drops_buffer;
+  const auto elapsed = static_cast<double>(cluster.eq().now());
+  for (int node = 0; node < kNodes; ++node) {
+    r.max_cpu_utilization =
+        std::max(r.max_cpu_utilization,
+                 static_cast<double>(cluster.busy_time(node)) / elapsed);
+  }
   return r;
 }
 

@@ -74,6 +74,10 @@ class BaselineCluster {
     return *nodes_[node].protocol;
   }
   [[nodiscard]] int size() const { return static_cast<int>(nodes_.size()); }
+  /// Virtual CPU time `node` has consumed so far.
+  [[nodiscard]] protocol::Nanos busy_time(int node) const {
+    return nodes_[node].process->busy_time();
+  }
   void run_until(protocol::Nanos deadline) { eq_.run_until(deadline); }
 
  private:

@@ -20,6 +20,17 @@
 namespace accelring::check {
 namespace {
 
+// Every campaign run shares one workload and one assembly: a 64 B submit
+// every 2 ms per node, library-profile nodes on the 1GbE fabric and, at K > 1,
+// a 4-slot merge batch with a 300 µs skip period (short runs, so the merge
+// must rotate often).
+constexpr Nanos kSubmitInterval = util::msec(2);
+constexpr size_t kPayloadSize = 64;
+constexpr harness::ImplProfile kProfile = harness::ImplProfile::kLibrary;
+const simnet::FabricParams kFabric = simnet::FabricParams::one_gig();
+constexpr uint32_t kMergeBatch = 4;
+constexpr Nanos kSkipInterval = util::usec(300);
+
 /// What one run's faults land on, and who hears of them: every ring of the
 /// run's RingSet (one machine hosts a node's engine in every ring, so a
 /// network fault hits each ring's fabric, a node fault hits that node in each
@@ -448,13 +459,12 @@ uint64_t keyed_stream_id(bool zipf, int node, uint32_t index) {
 /// handoff audit owns the continuity obligations.
 void arm_workload(FaultTarget& t, const RunOptions& opt, bool keyed,
                   bool zipf) {
-  const int64_t shots = opt.horizon / opt.submit_interval;
+  const int64_t shots = opt.horizon / kSubmitInterval;
   for (int node = 0; node < opt.nodes; ++node) {
     // Phase-shift nodes so submissions do not synchronize.
-    const Nanos phase =
-        opt.submit_interval * node / std::max(opt.nodes, 1);
+    const Nanos phase = kSubmitInterval * node / std::max(opt.nodes, 1);
     for (int64_t k = 0; k < shots; ++k) {
-      const Nanos at = opt.submit_interval * k + phase + util::usec(50);
+      const Nanos at = kSubmitInterval * k + phase + util::usec(50);
       const auto index = static_cast<uint32_t>(k);
       t.eq().schedule_after(at, [&t, &opt, keyed, zipf, node, index] {
         if (t.down(node)) return;
@@ -463,7 +473,7 @@ void arm_workload(FaultTarget& t, const RunOptions& opt, bool keyed,
         stamp.sender = static_cast<uint32_t>(node);
         stamp.index = index;
         std::vector<std::byte> payload =
-            harness::make_payload(opt.payload_size, stamp);
+            harness::make_payload(kPayloadSize, stamp);
         // Mostly Agreed with a steady trickle of Safe, so both delivery
         // paths and both sides of the safe line are exercised under faults.
         const protocol::Service service = index % 5 == 0
@@ -548,16 +558,16 @@ RunResult run_schedule(const RunOptions& base, const Schedule& schedule,
   if (wan) mcfg.topology = campaign_wan_topology(opt.nodes);
   mcfg.rings = opt.rings;
   mcfg.nodes_per_ring = opt.nodes;
-  mcfg.fabric = opt.fabric;
+  mcfg.fabric = kFabric;
   mcfg.proto = opt.proto;
   if (workload == Workload::kClients) {
     // A client run must be able to overload its daemons within one burst:
     // clamp the engine queue so sends actually cross the high-water line.
     mcfg.proto.max_pending = std::min<size_t>(mcfg.proto.max_pending, 384);
   }
-  mcfg.profile = opt.profile;
-  mcfg.merge_batch = opt.merge_batch;
-  mcfg.skip_interval = opt.skip_interval;
+  mcfg.profile = kProfile;
+  mcfg.merge_batch = kMergeBatch;
+  mcfg.skip_interval = kSkipInterval;
   mcfg.seed = seed;
   // A kRingOffline event is a construction-time hint: the last ring starts
   // owning no hash space (its skip daemon still keeps the merge rotating)
@@ -684,7 +694,7 @@ RunResult run_schedule(const RunOptions& base, const Schedule& schedule,
     wcfg.keys = 128;
     wcfg.zipf_s = 0.9;
     wcfg.read_fraction = 0.7;
-    wcfg.value_size = opt.payload_size;
+    wcfg.value_size = kPayloadSize;
     wcfg.base_rate = 4000;
     wcfg.peak_factor = 1.5;
     wcfg.period = opt.horizon;

@@ -65,13 +65,7 @@ struct RunOptions {
   int rings = 1;  ///< K rings in the RingSet; 1 = single cluster
   Nanos horizon = util::msec(250);     ///< workload + fault window
   Nanos drain = util::msec(300);       ///< heal-all, then quiesce
-  Nanos submit_interval = util::msec(2);  ///< per-node submit cadence
-  size_t payload_size = 64;
-  simnet::FabricParams fabric = simnet::FabricParams::one_gig();
-  harness::ImplProfile profile = harness::ImplProfile::kLibrary;
   protocol::ProtocolConfig proto = campaign_proto_config();
-  uint32_t merge_batch = 4;                ///< multi-ring only
-  Nanos skip_interval = util::usec(300);   ///< multi-ring only
   bool inject_merge_bug = false;           ///< mutation (multi-ring only)
   /// Mutation (migration scenarios only): node 1 flushes one held moving-key
   /// message to the *source* ring after activation — the classic stale-map

@@ -2,13 +2,6 @@
 
 namespace accelring::harness {
 
-void LatencyRecorder::attach(SimCluster& cluster) {
-  cluster.set_on_deliver(
-      [this](int node, const protocol::Delivery& delivery, Nanos at) {
-        record(node, delivery, at);
-      });
-}
-
 void LatencyRecorder::record(int node, const protocol::Delivery& delivery,
                              Nanos at) {
   ++total_messages_;

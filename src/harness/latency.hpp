@@ -6,8 +6,8 @@
 
 #include <vector>
 
-#include "harness/cluster.hpp"
 #include "harness/workload.hpp"
+#include "protocol/types.hpp"
 #include "util/stats.hpp"
 
 namespace accelring::harness {
@@ -15,17 +15,13 @@ namespace accelring::harness {
 class LatencyRecorder {
  public:
   /// Records deliveries whose receipt time falls in [window_start,
-  /// window_end). Install with attach().
+  /// window_end), fed by record() from the caller's delivery hook.
   LatencyRecorder(int num_nodes, Nanos window_start, Nanos window_end)
       : window_start_(window_start),
         window_end_(window_end),
         per_node_meter_(num_nodes) {}
 
-  /// Install as the cluster's delivery hook (chains are not supported; the
-  /// recorder should be the only consumer in benchmark runs).
-  void attach(SimCluster& cluster);
-
-  /// Feed one delivery (also usable directly from custom hooks).
+  /// Feed one delivery received by `node`'s client at `at`.
   void record(int node, const protocol::Delivery& delivery, Nanos at);
 
   [[nodiscard]] const util::LatencyStats& latency() const { return latency_; }

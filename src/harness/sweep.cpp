@@ -3,41 +3,72 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "multiring/ring_set.hpp"
+
 namespace accelring::harness {
 
 PointResult run_point(const PointConfig& config) {
-  const simnet::Topology topo = config.topology.hosts.empty()
-                                    ? simnet::Topology::single_dc(config.nodes)
-                                    : config.topology;
-  SimCluster cluster(topo, config.fabric, config.proto, config.profile,
-                     config.seed);
-  const int nodes = cluster.size();
+  multiring::MultiRingConfig mcfg;
+  mcfg.rings = config.rings;
+  mcfg.nodes_per_ring = config.topology.hosts.empty()
+                            ? config.nodes
+                            : config.topology.num_hosts();
+  mcfg.topology = config.topology;
+  mcfg.fabric = config.fabric;
+  mcfg.proto = config.proto;
+  mcfg.profile = config.profile;
+  mcfg.seed = config.seed;
+  multiring::RingSet rings(mcfg);
+  const int nodes = rings.nodes_per_ring();
   // Always-on: recording is free of perturbation (obs_determinism_test pins
   // this), and every bench point then ships its latency histograms.
-  cluster.enable_metrics();
+  rings.enable_metrics();
   const Nanos window_start = config.warmup;
   const Nanos window_end = config.warmup + config.measure;
   LatencyRecorder recorder(nodes, window_start, window_end);
-  recorder.attach(cluster);
+  rings.set_on_merged(
+      [&recorder](int node, int, const protocol::Delivery& d, Nanos at) {
+        recorder.record(node, d, at);
+      });
+  std::vector<util::Meter> ordered(static_cast<size_t>(config.rings));
+  for (int ring = 0; ring < config.rings; ++ring) {
+    rings.ring(ring).add_on_deliver(
+        [&, ring](int node, const protocol::Delivery& d, Nanos at) {
+          PayloadStamp stamp;
+          if (node != 0 || at < window_start || at >= window_end ||
+              !parse_payload(d.payload, stamp)) {
+            return;
+          }
+          ordered[static_cast<size_t>(ring)].add(d.payload.size());
+        });
+  }
 
   RateInjector::Options inject;
-  inject.service = config.service;
   inject.payload_size = config.payload_size;
   inject.aggregate_mbps = config.offered_mbps;
   inject.start = util::usec(100);  // let the ring form first
   inject.stop = window_end;
-  RateInjector injector(cluster, inject);
+  const uint32_t streams = 16 * static_cast<uint32_t>(config.rings);
+  RateInjector injector(
+      rings.eq(), nodes,
+      [&rings, &config, streams](int node, uint32_t index,
+                                 std::vector<std::byte> payload) {
+        const uint64_t stream =
+            static_cast<uint64_t>(node) * streams + index % streams;
+        rings.submit_keyed(node, stream, config.service, std::move(payload));
+      },
+      inject);
 
-  cluster.start_static();
+  rings.start_static();
   injector.arm();
   // Drain time lets in-flight messages deliver (they only count if they
   // arrive inside the window).
-  cluster.run_until(window_end + util::msec(50));
+  rings.run_until(window_end + util::msec(50));
 
   PointResult r;
   r.offered_mbps = config.offered_mbps;
-  // All receivers see the same aggregate stream; report the mean across
-  // nodes to smooth edge-of-window effects.
+  // All receivers see the same merged stream; report the mean across nodes
+  // to smooth edge-of-window effects.
   double sum = 0;
   for (int i = 0; i < nodes; ++i) sum += recorder.node_mbps(i);
   r.achieved_mbps = sum / nodes;
@@ -48,19 +79,23 @@ PointResult run_point(const PointConfig& config) {
   r.p999_latency = recorder.latency().percentile(0.999);
   r.max_latency = recorder.latency().max();
   r.messages = recorder.node_messages(0);
-  const ClusterStats stats = cluster.stats();
-  r.buffer_drops = stats.net.drops_buffer;
-  r.socket_drops = stats.socket_drops();
-  r.retransmits = stats.retransmits();
-  r.rtr_requested = stats.rtr_requested();
-  r.token_retransmits = stats.token_retransmits();
-  r.submit_rejected = stats.submit_rejected();
-  r.max_cpu_utilization = stats.max_cpu_utilization();
-  auto merged =
-      std::make_shared<obs::MetricsRegistry>(cluster.merged_metrics());
+  for (const ClusterStats& stats : rings.ring_stats()) {
+    r.buffer_drops += stats.net.drops_buffer;
+    r.socket_drops += stats.socket_drops();
+    r.retransmits += stats.retransmits();
+    r.rtr_requested += stats.rtr_requested();
+    r.token_retransmits += stats.token_retransmits();
+    r.submit_rejected += stats.submit_rejected();
+    r.max_cpu_utilization =
+        std::max(r.max_cpu_utilization, stats.max_cpu_utilization());
+  }
+  for (const util::Meter& meter : ordered) {
+    r.per_ring_mbps.push_back(meter.mbps(window_end - window_start));
+  }
+  auto merged = std::make_shared<obs::MetricsRegistry>(rings.merged_metrics());
   // Cross-node delivery latency (inject stamp at the sender's client →
-  // client receipt anywhere), the number the paper's figures plot. The
-  // engine-level origin_* histograms cover only own-node delivery.
+  // merged client receipt anywhere), the number the paper's figures plot.
+  // The engine-level origin_* histograms cover only own-node delivery.
   obs::Histogram& dist = merged->histogram("harness", "delivery_latency_ns");
   for (const Nanos sample : recorder.latency().samples()) dist.record(sample);
   r.metrics = std::move(merged);
@@ -78,11 +113,10 @@ Curve run_curve(std::string label, PointConfig base,
   return curve;
 }
 
-PointResult find_max_throughput(PointConfig base, double start_mbps,
-                                double step_mbps, double ceiling_mbps) {
+PointResult find_max_throughput(PointConfig base,
+                                const std::vector<double>& offered_mbps) {
   PointResult best;
-  for (double offered = start_mbps; offered <= ceiling_mbps;
-       offered += step_mbps) {
+  for (const double offered : offered_mbps) {
     base.offered_mbps = offered;
     const PointResult r = run_point(base);
     if (r.achieved_mbps > best.achieved_mbps) best = r;

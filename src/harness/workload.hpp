@@ -8,11 +8,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
-#include "harness/cluster.hpp"
+#include "simnet/event_queue.hpp"
+#include "util/time.hpp"
 
 namespace accelring::harness {
+
+using util::Nanos;
 
 /// Stamp at the front of every generated payload.
 struct PayloadStamp {
@@ -32,20 +37,26 @@ struct PayloadStamp {
 [[nodiscard]] bool parse_payload(std::span<const std::byte> payload,
                                  PayloadStamp& stamp);
 
-/// Injects messages into every cluster node at a fixed aggregate rate from
-/// `start` until `stop`. Nodes are phase-shifted so injections do not
-/// synchronize.
+/// Injects stamped messages from `nodes` senders at a fixed aggregate rate
+/// from `start` until `stop`. Nodes are phase-shifted so injections do not
+/// synchronize. The injector only generates: `submit` hands each payload to
+/// whatever carries it (a SimCluster, a RingSet, a baseline cluster).
 class RateInjector {
  public:
+  /// Called at each injection time with the sending node, that node's
+  /// injection index (0, 1, ...) and the stamped payload.
+  using SubmitFn =
+      std::function<void(int node, uint32_t index, std::vector<std::byte>)>;
+
   struct Options {
-    protocol::Service service = protocol::Service::kAgreed;
     size_t payload_size = 1350;
     double aggregate_mbps = 100.0;  ///< clean payload bits/s across all nodes
     Nanos start = 0;
     Nanos stop = util::sec(1);
   };
 
-  RateInjector(SimCluster& cluster, Options options);
+  RateInjector(simnet::EventQueue& eq, int nodes, SubmitFn submit,
+               Options options);
 
   /// Schedule all injections (events are created lazily, one per node chain).
   void arm();
@@ -56,7 +67,9 @@ class RateInjector {
  private:
   void schedule_next(int node, Nanos at, uint32_t index);
 
-  SimCluster& cluster_;
+  simnet::EventQueue& eq_;
+  int nodes_;
+  SubmitFn submit_;
   Options opt_;
   Nanos interval_ = 0;
   uint64_t injected_ = 0;

@@ -38,7 +38,12 @@ TEST(AutoTune, WindowActuallyAdapts) {
   opt.aggregate_mbps = 600;
   opt.payload_size = 1350;
   opt.stop = util::msec(300);
-  RateInjector injector(cluster, opt);
+  RateInjector injector(
+      cluster.eq(), cluster.size(),
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      },
+      opt);
   injector.arm();
   cluster.run_until(util::msec(400));
   EXPECT_GT(cluster.engine(0).config().personal_window, 2u);
@@ -59,7 +64,12 @@ TEST(AutoTune, BacksOffUnderLoss) {
   opt.aggregate_mbps = 500;
   opt.payload_size = 1350;
   opt.stop = util::msec(400);
-  RateInjector injector(cluster, opt);
+  RateInjector injector(
+      cluster.eq(), cluster.size(),
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      },
+      opt);
   injector.arm();
   cluster.run_until(util::msec(500));
   EXPECT_LT(cluster.engine(0).config().personal_window, 60u);
@@ -78,7 +88,12 @@ TEST(AutoTune, RespectsBounds) {
   opt.aggregate_mbps = 900;  // way beyond what window 10 can carry
   opt.payload_size = 1350;
   opt.stop = util::msec(400);
-  RateInjector injector(cluster, opt);
+  RateInjector injector(
+      cluster.eq(), cluster.size(),
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      },
+      opt);
   injector.arm();
   cluster.run_until(util::msec(500));
   EXPECT_LE(cluster.engine(0).config().personal_window, 10u);

@@ -33,7 +33,12 @@ TEST(Workload, InjectorHitsConfiguredRate) {
   opt.aggregate_mbps = 80;  // 10k msgs/s aggregate
   opt.start = 0;
   opt.stop = util::msec(100);
-  RateInjector injector(cluster, opt);
+  RateInjector injector(
+      cluster.eq(), cluster.size(),
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      },
+      opt);
   injector.arm();
   cluster.run_until(util::msec(200));
   // 10000 msgs/s * 0.1s = 1000 messages (+- rounding per node).
@@ -103,6 +108,35 @@ TEST(RunPoint, AcceleratedBeatsOriginalNearSaturation) {
   const PointResult accel = run_point(pc);
   EXPECT_GT(accel.achieved_mbps, orig.achieved_mbps);
   EXPECT_LT(accel.mean_latency, orig.mean_latency);
+}
+
+TEST(RunPoint, PinnedOneRingAndTwoRingPoints) {
+  // Exact figures, so a change to the point runner that moves a published
+  // bench row fails here. The K=1 numbers are those of the runner over a
+  // bare SimCluster, the K=2 numbers those of the earlier dedicated
+  // multi-ring runner (32 streams per sender, merge batch 16).
+  PointConfig pc;
+  pc.nodes = 4;
+  pc.fabric = simnet::FabricParams::one_gig();
+  pc.offered_mbps = 200;
+  pc.warmup = util::msec(30);
+  pc.measure = util::msec(60);
+  const PointResult one = run_point(pc);
+  EXPECT_EQ(one.messages, 1111u);
+  EXPECT_EQ(one.mean_latency, 173032);
+  EXPECT_EQ(one.p99_latency, 341380);
+  ASSERT_EQ(one.per_ring_mbps.size(), 1u);
+
+  pc.rings = 2;
+  pc.offered_mbps = 400;
+  const PointResult two = run_point(pc);
+  EXPECT_EQ(two.messages, 2208u);
+  EXPECT_EQ(two.mean_latency, 514558);
+  EXPECT_EQ(two.p99_latency, 1429131);
+  ASSERT_EQ(two.per_ring_mbps.size(), 2u);
+  // Per-ring counts are taken before the merge, so the uneven shard split
+  // shows.
+  EXPECT_NE(two.per_ring_mbps[0], two.per_ring_mbps[1]);
 }
 
 TEST(Profiles, SpreadUsesConservativePriorityAndBigHeaders) {

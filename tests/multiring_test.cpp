@@ -9,7 +9,7 @@
 #include <set>
 
 #include "groups/group_layer.hpp"
-#include "multiring/measure.hpp"
+#include "harness/sweep.hpp"
 #include "multiring/merger.hpp"
 #include "multiring/ring_set.hpp"
 #include "multiring/shard_map.hpp"
@@ -742,17 +742,20 @@ TEST(MultiRingRsm, ReplicasConvergeAtopShardedRings) {
   }
 }
 
-// --- measurement helper -----------------------------------------------------
+// --- measurement: harness::run_point at K = 2 ------------------------------
 
 TEST(MultiRingMeasure, PointRunsAndAccountsPerRing) {
-  MultiPointConfig cfg;
-  cfg.ring = small_config(2, 2);
-  cfg.offered_mbps = 60;
-  cfg.payload_size = 400;
-  cfg.warmup = util::msec(30);
-  cfg.measure = util::msec(60);
-  const MultiPointResult r = run_multiring_point(cfg);
-  EXPECT_GT(r.merged_mbps, 40.0);
+  harness::PointConfig pc;
+  pc.rings = 2;
+  pc.nodes = 4;
+  pc.fabric = simnet::FabricParams::one_gig();
+  pc.seed = 2;
+  pc.offered_mbps = 60;
+  pc.payload_size = 400;
+  pc.warmup = util::msec(30);
+  pc.measure = util::msec(60);
+  const harness::PointResult r = harness::run_point(pc);
+  EXPECT_GT(r.achieved_mbps, 40.0);
   EXPECT_GT(r.messages, 100u);
   EXPECT_GT(r.mean_latency, 0);
   ASSERT_EQ(r.per_ring_mbps.size(), 2u);

@@ -3,12 +3,12 @@
 // clock getters, so a run with registries attached and queried must be
 // event-identical — same trace streams, same deliveries, same event count,
 // same wire bytes — to the same seed without them. This A/B is what lets
-// run_point / run_multiring_point / the campaign runner enable metrics
+// run_point (one ring or K) and the campaign runner enable metrics
 // unconditionally without invalidating seed-reproducibility.
 #include <gtest/gtest.h>
 
 #include "harness/sweep.hpp"
-#include "multiring/measure.hpp"
+#include "multiring/ring_set.hpp"
 #include "obs/export.hpp"
 
 namespace accelring::harness {
@@ -50,7 +50,12 @@ RunFingerprint run_single(uint64_t seed, bool metrics, double loss) {
   opt.aggregate_mbps = 250;
   opt.payload_size = 700;
   opt.stop = util::msec(60);
-  RateInjector injector(cluster, opt);
+  RateInjector injector(
+      cluster.eq(), cluster.size(),
+      [&cluster](int node, uint32_t, std::vector<std::byte> payload) {
+        cluster.submit(node, protocol::Service::kAgreed, std::move(payload));
+      },
+      opt);
   injector.arm();
   cluster.run_until(util::msec(150));
   if (metrics) {
