@@ -94,8 +94,8 @@ harness::PointResult run_baseline_point(bool ten_gig, Config cfg,
 }
 
 template <typename Protocol, typename Config>
-void run_baseline_curve(const char* label, bool ten_gig, Config cfg,
-                        const std::vector<double>& loads) {
+harness::Curve run_baseline_curve(const char* label, bool ten_gig, Config cfg,
+                                  const std::vector<double>& loads) {
   harness::Curve curve;
   curve.label = label;
   for (double mbps : loads) {
@@ -103,6 +103,28 @@ void run_baseline_curve(const char* label, bool ten_gig, Config cfg,
         run_baseline_point<Protocol, Config>(ten_gig, cfg, mbps, 1350));
   }
   harness::print_curve(curve);
+  return curve;
+}
+
+double max_achieved(const harness::Curve& curve) {
+  double best = 0;
+  for (const auto& p : curve.points) best = std::max(best, p.achieved_mbps);
+  return best;
+}
+
+/// One line per fabric, read off the printed rows: each protocol's highest
+/// achieved throughput and which one caps lowest.
+void print_ceilings(const char* fabric,
+                    const std::vector<harness::Curve>& curves) {
+  const harness::Curve* lowest = nullptr;
+  std::printf("%s max achieved:", fabric);
+  for (const auto& c : curves) {
+    std::printf(" %s %.1f Mbps;", c.label.c_str(), max_achieved(c));
+    if (lowest == nullptr || max_achieved(c) < max_achieved(*lowest)) {
+      lowest = &c;
+    }
+  }
+  std::printf(" lowest cap: %s\n", lowest->label.c_str());
 }
 
 }  // namespace
@@ -114,30 +136,39 @@ int main() {
   const std::vector<double> ten_gig = {500, 1000, 1500, 2000, 2500, 3000};
 
   // Our protocol, same grid, for reference.
+  std::vector<harness::Curve> at_1g;
   PointConfig ring = base_point(/*ten_gig=*/false);
   ring.proto = accelring::harness::bench_protocol(Variant::kAccelerated);
-  accelring::harness::print_curve(accelring::harness::run_curve(
+  at_1g.push_back(accelring::harness::run_curve(
       "accelerated ring / library / 1GbE", ring, one_gig));
+  accelring::harness::print_curve(at_1g.back());
 
-  run_baseline_curve<baselines::SequencerProtocol, baselines::SequencerConfig>(
-      "sequencer (JGroups-style) / 1GbE", false, {}, one_gig);
-  run_baseline_curve<baselines::URingProtocol, baselines::URingConfig>(
-      "u-ring paxos (batching) / 1GbE", false, {}, one_gig);
+  at_1g.push_back(run_baseline_curve<baselines::SequencerProtocol,
+                                     baselines::SequencerConfig>(
+      "sequencer (JGroups-style) / 1GbE", false, {}, one_gig));
+  at_1g.push_back(
+      run_baseline_curve<baselines::URingProtocol, baselines::URingConfig>(
+          "u-ring paxos (batching) / 1GbE", false, {}, one_gig));
 
+  std::vector<harness::Curve> at_10g;
   ring = base_point(/*ten_gig=*/true);
   ring.proto = accelring::harness::bench_protocol(Variant::kAccelerated);
-  accelring::harness::print_curve(accelring::harness::run_curve(
+  at_10g.push_back(accelring::harness::run_curve(
       "accelerated ring / library / 10GbE", ring, ten_gig));
+  accelring::harness::print_curve(at_10g.back());
 
-  run_baseline_curve<baselines::SequencerProtocol, baselines::SequencerConfig>(
-      "sequencer (JGroups-style) / 10GbE", true, {}, ten_gig);
-  run_baseline_curve<baselines::URingProtocol, baselines::URingConfig>(
-      "u-ring paxos (batching) / 10GbE", true, {}, ten_gig);
+  at_10g.push_back(run_baseline_curve<baselines::SequencerProtocol,
+                                      baselines::SequencerConfig>(
+      "sequencer (JGroups-style) / 10GbE", true, {}, ten_gig));
+  at_10g.push_back(
+      run_baseline_curve<baselines::URingProtocol, baselines::URingConfig>(
+          "u-ring paxos (batching) / 10GbE", true, {}, ten_gig));
 
+  print_ceilings("1GbE", at_1g);
+  print_ceilings("10GbE", at_10g);
   std::printf(
-      "expected shape: the ring saturates 1GbE; the sequencer tops out "
-      "earlier (coordinator CPU + double traversal of the sender link); "
-      "u-ring paxos pays ring-traversal latency similar to original-ring "
-      "Safe delivery and caps lowest at 10GbE\n");
+      "model: the sequencer is bound by coordinator CPU and the double "
+      "traversal of the sender link; u-ring paxos pays ring-traversal "
+      "latency similar to original-ring Safe delivery\n");
   return 0;
 }

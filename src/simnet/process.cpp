@@ -50,7 +50,7 @@ void Process::cancel_timer(int kind) {
   t.pending_fire = false;
 }
 
-void Process::run_soon(std::function<void()> fn, Nanos cost) {
+void Process::run_soon(Callback fn, Nanos cost) {
   tasks_.emplace_back(std::move(fn), cost);
   maybe_schedule_drain();
 }

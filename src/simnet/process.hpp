@@ -89,7 +89,7 @@ class Process {
 
   /// Run `fn` on the virtual CPU as soon as it is free (used to bootstrap
   /// protocol engines and to model client injections).
-  void run_soon(std::function<void()> fn, Nanos cost = 0);
+  void run_soon(Callback fn, Nanos cost = 0);
 
   [[nodiscard]] uint64_t socket_drops() const { return socket_drops_; }
   [[nodiscard]] Nanos busy_time() const { return busy_time_; }
@@ -118,7 +118,7 @@ class Process {
   PacketSink* sink_ = nullptr;
   std::vector<Inbox> inboxes_;
   std::vector<Timer> timers_;
-  std::deque<std::pair<std::function<void()>, Nanos>> tasks_;
+  std::deque<std::pair<Callback, Nanos>> tasks_;
   Nanos vnow_ = 0;
   double cpu_mult_ = 1.0;
   Nanos busy_until_ = 0;

@@ -143,7 +143,21 @@ IoStatus SimDisk::fsync(const std::string& name) {
   Inode* inode = visible(name);
   if (inode == nullptr) return IoStatus::kNotFound;
   if (desync_) return IoStatus::kOk;  // the cache lies: nothing persisted
-  inode->durable = inode->data;
+  const bool appends_only =
+      std::all_of(inode->pending.begin(), inode->pending.end(),
+                  [](const Op& op) { return op.kind == Op::Kind::kAppend; });
+  if (appends_only) {
+    // Appends only extend the file, and flip_bits rots durable and visible
+    // bytes alike, so the visible file is the durable one plus a tail:
+    // persist just the tail (a WAL fsync no longer copies the whole log).
+    inode->durable.insert(
+        inode->durable.end(),
+        inode->data.begin() +
+            static_cast<std::ptrdiff_t>(inode->durable.size()),
+        inode->data.end());
+  } else {
+    inode->durable = inode->data;
+  }
   inode->pending.clear();
   return IoStatus::kOk;
 }

@@ -4,8 +4,10 @@
 // The model is a real inode model: names map to inodes, and *two* maps
 // exist — the visible namespace and the durable namespace as of the last
 // fsync_dir(). Each inode keeps its last durable content (as of the last
-// honored fsync) plus the log of mutating ops since. A power loss reverts
-// the namespace to the durable map and replays a crash-mode-dependent
+// honored fsync) plus the log of mutating ops since. An fsync whose
+// pending ops are all appends persists just the appended tail, so a WAL
+// fsync costs the bytes written since the last one, not the whole log. A
+// power loss reverts the namespace to the durable map and replays a crash-mode-dependent
 // subset of each surviving inode's op log:
 //
 //   kDropAll  — pending ops vanish; the file reverts to its durable content.

@@ -6,9 +6,7 @@ namespace accelring::util {
 
 void Writer::patch_u32(size_t pos, uint32_t v) {
   assert(pos + 4 <= buf_.size());
-  for (size_t i = 0; i < 4; ++i) {
-    buf_[pos + i] = std::byte{static_cast<uint8_t>(v >> (8 * i))};
-  }
+  std::memcpy(buf_.data() + pos, &v, sizeof(v));
 }
 
 }  // namespace accelring::util

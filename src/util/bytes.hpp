@@ -7,8 +7,13 @@
 // fail-soft: a Reader that runs past the end of its buffer sets an error flag
 // and returns zeroes, and callers check `ok()` once at the end instead of
 // checking every field.
+//
+// Integers are copied with one memcpy each: the wire format is
+// little-endian, and so is every host this builds for (asserted below).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -17,6 +22,9 @@
 #include <vector>
 
 namespace accelring::util {
+
+static_assert(std::endian::native == std::endian::little,
+              "the codec copies integers in native byte order");
 
 /// Append-only buffer for encoding wire messages.
 class Writer {
@@ -34,12 +42,14 @@ class Writer {
 
   /// Length-prefixed (u32) byte string.
   void bytes(std::span<const std::byte> data) {
+    reserve_more(sizeof(uint32_t) + data.size());
     u32(static_cast<uint32_t>(data.size()));
     raw(data);
   }
 
   /// Length-prefixed (u16) UTF-8 string; used for group and sender names.
   void str(std::string_view s) {
+    reserve_more(sizeof(uint16_t) + s.size());
     u16(static_cast<uint16_t>(s.size()));
     raw(std::as_bytes(std::span{s.data(), s.size()}));
   }
@@ -59,8 +69,16 @@ class Writer {
  private:
   template <typename T>
   void append_le(T v) {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(std::byte{static_cast<uint8_t>(v >> (8 * i))});
+    std::byte le[sizeof(T)]{};
+    std::memcpy(le, &v, sizeof(T));
+    buf_.insert(buf_.end(), le, le + sizeof(T));
+  }
+
+  /// Room for `n` more bytes in one allocation, still growing
+  /// geometrically (a bare reserve() would allocate exactly).
+  void reserve_more(size_t n) {
+    if (buf_.capacity() - buf_.size() < n) {
+      buf_.reserve(std::max(buf_.size() + n, 2 * buf_.capacity()));
     }
   }
 
@@ -121,9 +139,7 @@ class Reader {
   T read_le() {
     if (!ensure(sizeof(T))) return 0;
     T v = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
-    }
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
   }

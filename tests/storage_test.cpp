@@ -17,6 +17,7 @@
 #include "storage/replica_store.hpp"
 #include "storage/sim_disk.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace accelring::storage {
 namespace {
@@ -199,6 +200,96 @@ TEST(SimDiskTest, FaultLogRecordsInjections) {
   disk.set_write_cache_lies(true);
   disk.power_loss();
   EXPECT_GE(disk.fault_log().size(), 2u);  // desync + power loss at least
+}
+
+// fsync persists only the appended tail when every pending op is an
+// append. Property: under every crash mode, any sequence of writes,
+// appends, truncates, bit rot, fsyncs, lying caches and power losses leaves
+// exactly the bytes of a full-copy fsync. The reference is a twin disk with
+// the same seed whose every honored fsync follows a whole-file rewrite: the
+// pending kSet forces the full durable = visible copy, and the rewrite draws
+// no randomness, so both disks consume the same rng stream.
+TEST(SimDiskTest, DeltaFsyncMatchesFullCopyReference) {
+  const std::vector<std::string> names = {"wal", "ckpt", "wal.tmp"};
+  for (CrashMode mode :
+       {CrashMode::kDropAll, CrashMode::kTorn, CrashMode::kReorder}) {
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      SimDisk disk(seed);
+      SimDisk ref(seed);
+      disk.set_crash_mode(mode);
+      ref.set_crash_mode(mode);
+      util::Rng rng(seed * 7919 + static_cast<uint64_t>(mode));
+      auto random_bytes = [&rng](size_t n) {
+        std::vector<std::byte> out(n);
+        for (auto& b : out) b = static_cast<std::byte>(rng.below(256));
+        return out;
+      };
+      for (int step = 0; step < 300; ++step) {
+        const std::string& name = names[rng.below(names.size())];
+        const uint64_t action = rng.below(100);
+        std::string what;
+        if (action < 10) {
+          what = "write";
+          const auto data = random_bytes(rng.below(64));
+          ASSERT_EQ(disk.write(name, data), ref.write(name, data));
+        } else if (action < 45) {
+          what = "append";
+          const auto data = random_bytes(1 + rng.below(64));
+          ASSERT_EQ(disk.append(name, data), ref.append(name, data));
+        } else if (action < 52) {
+          what = "truncate";
+          const uint64_t to = rng.below(disk.size(name) + 1);
+          ASSERT_EQ(disk.truncate(name, to), ref.truncate(name, to));
+        } else if (action < 57) {
+          what = "flip_bits";
+          const int count = 1 + static_cast<int>(rng.below(3));
+          const std::string prefix = rng.chance(0.5) ? "" : name;
+          ASSERT_EQ(disk.flip_bits(count, prefix),
+                    ref.flip_bits(count, prefix));
+        } else if (action < 82) {
+          what = "fsync";
+          if (ref.exists(name) && !ref.write_cache_lies()) {
+            std::vector<std::byte> whole;
+            ASSERT_EQ(ref.read(name, whole), IoStatus::kOk);
+            ASSERT_EQ(ref.write(name, whole), IoStatus::kOk);
+          }
+          ASSERT_EQ(disk.fsync(name), ref.fsync(name));
+        } else if (action < 90) {
+          what = "fsync_dir";
+          ASSERT_EQ(disk.fsync_dir(), ref.fsync_dir());
+        } else if (action < 93) {
+          what = "lying cache";
+          const bool lies = !disk.write_cache_lies();
+          disk.set_write_cache_lies(lies);
+          ref.set_write_cache_lies(lies);
+        } else {
+          what = "power_loss";
+          disk.power_loss();
+          ref.power_loss();
+        }
+        for (const std::string& n : names) {
+          std::vector<std::byte> got;
+          std::vector<std::byte> want;
+          ASSERT_EQ(disk.read(n, got), ref.read(n, want));
+          ASSERT_EQ(got, want) << crash_mode_name(mode) << " seed " << seed
+                               << " step " << step << " (" << what << ") "
+                               << n;
+        }
+      }
+      // Drop everything pending: what is left is the durable bytes alone.
+      disk.set_crash_mode(CrashMode::kDropAll);
+      ref.set_crash_mode(CrashMode::kDropAll);
+      disk.power_loss();
+      ref.power_loss();
+      for (const std::string& n : names) {
+        std::vector<std::byte> got;
+        std::vector<std::byte> want;
+        ASSERT_EQ(disk.read(n, got), ref.read(n, want));
+        ASSERT_EQ(got, want) << crash_mode_name(mode) << " seed " << seed
+                             << " durable " << n;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

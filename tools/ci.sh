@@ -36,6 +36,14 @@ configure_and_test build
 echo "=== build: check-fast ==="
 cmake --build build --target check-fast
 
+# Exact-counter gate: the three simulated perfbench workloads must replay
+# their committed seed-1 fingerprints (bench/baselines/) bit for bit. A
+# fingerprint moves only when what the simulator computes moves, so this
+# catches a behaviour change that a wall-clock number could never resolve
+# on a noisy host. perfbench builds its own tree under .bench_build/.
+echo "=== perfbench: fingerprint gate ==="
+python3 tools/check_fingerprints.py
+
 # Gray-failure acceptance: a 10x CPU straggler must be quarantined and the
 # ring's agreed throughput must recover to >= 80% of the fault-free
 # baseline (the campaign above already audits that no HEALTHY member is
